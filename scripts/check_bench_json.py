@@ -97,14 +97,14 @@ EP_ROW_KEYS = {
     "epochs_per_sec": (int, float),
     "events_per_epoch": (int, float),
     "effective_lookahead_ps": (int, float),
-    # Demand-driven horizon counters (PR 10): terms dropped for quiescent
-    # pairs, rounds fused past the static bound, budget-forced re-splits,
-    # and the total virtual widening bought. Host-race-dependent values;
-    # only presence/type/sanity is checked.
-    "quiescent_terms": int,
+    # Demand-driven horizon counters: rounds fused past the static bound,
+    # budget-forced re-splits, the total virtual widening bought, and
+    # cross-shard events spilled past a full channel ring.
+    # Host-race-dependent values; only presence/type/sanity is checked.
     "fused_epochs": int,
     "resplit_epochs": int,
     "horizon_widening_ps": int,
+    "spilled_events": int,
 }
 
 
@@ -231,8 +231,8 @@ def check_engine_profile(path, ep):
             elif r["events_per_epoch"] or r["effective_lookahead_ps"] or \
                     r["epochs_per_sec"]:
                 fail(path, "derived epoch rates nonzero with zero epochs")
-            for key in ("quiescent_terms", "fused_epochs",
-                        "resplit_epochs", "horizon_widening_ps"):
+            for key in ("fused_epochs", "resplit_epochs",
+                        "horizon_widening_ps", "spilled_events"):
                 if r[key] < 0:
                     fail(path, f"{key} negative: {r[key]}")
             if r["horizon_widening_ps"] and not r["fused_epochs"]:

@@ -112,8 +112,8 @@ def report_engine_profile(name, ep, min_accounted):
                 f"{r.get('effective_lookahead_ps', 0) / 1e3:.1f}",
                 str(r.get("fused_epochs", 0)),
                 str(r.get("resplit_epochs", 0)),
-                str(r.get("quiescent_terms", 0)),
                 f"{r.get('horizon_widening_ps', 0) / 1e3:.1f}",
+                str(r.get("spilled_events", 0)),
                 ms(r["dispatch_ns"]), ms(r["barrier_park_ns"]),
                 ms(r["merge_ns"]), ms(wall),
                 f"{r['dispatch_ns'] / wall:.3f}" if wall else "0",
@@ -124,7 +124,7 @@ def report_engine_profile(name, ep, min_accounted):
             ])
         print(fmt_table(
             ["shard", "epochs", "events", "ev/epoch", "epoch/s",
-             "eff_la_ns", "fused", "resplit", "quiesc", "widen_ns",
+             "eff_la_ns", "fused", "resplit", "widen_ns", "spilled",
              "dispatch_ms", "park_ms",
              "merge_ms", "wall_ms", "disp_share", "park_share",
              "merge_share", "accounted", "merged_ev", "inline", "max_qd"],
@@ -134,7 +134,7 @@ def report_engine_profile(name, ep, min_accounted):
         # crossings so frequent that each buys under 10 events of work.
         print(f"obs_report: WARNING: {name} shards={shards} shard {shard}: "
               f"events_per_epoch {epe:.1f} < 10 — epoch-starved; check "
-              "fused/quiesc counters and RDMASEM_HORIZON_* knobs",
+              "the fused/resplit counters and the lane placement",
               file=sys.stderr)
     if worst < min_accounted:
         die(f"{name}: accounted share {worst:.3f} below "

@@ -13,11 +13,12 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
      — it is the primary serial criterion. The parallel engine has its own in-run ratio:
      speedup/par4 (4-shard vs serial wall clock on a 16-machine shuffle)
      must stay above --min-par-speedup (default 2.0x) — enforced only
-     when the parallel_cpus/host point shows >= 4 hardware threads,
-     because a core-starved host cannot exhibit the speedup. The verbs
-     datapath has a third in-run ratio: speedup/datapath (tuned vs
-     legacy datapath on the mixed-SGE write/read storm) must stay above
-     --min-datapath-speedup (default 1.5x). Alongside it, the
+     when the parallel_cpus/host point shows >= 4 effective cores,
+     because a core-starved host cannot exhibit the speedup. That point
+     comes from a calibrated spin probe (the same spin on every thread
+     at once vs one thread alone), not from the core count the host
+     reports, and is rounded to the nearest core: a real 4-core host
+     reads about 3.7 because all-core clocks run a little slower. The
      datapath_allocs/steady point must be exactly 0: the steady-state
      single-SGE hot path is not allowed to touch the heap.
   2. Every workload's throughput, NORMALIZED by the in-run legacy
@@ -31,7 +32,9 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
 
 Regenerate the baseline after an intentional engine change with
   scripts/perf_gate.py BENCH_selfbench_engine.json --update-baseline
-and commit the result (procedure: docs/PERF.md).
+and commit the result (procedure: docs/PERF.md). --update-baseline
+refuses a report recorded on fewer than 4 effective cores: a baseline
+from a small host would waive the parallel floor and park budget.
 
 With --tenant-report BENCH_ext_tenant_scale.json the gate additionally
 enforces the multi-tenant scaling contract (docs/SERVICE.md): each
@@ -51,6 +54,9 @@ import os
 import sys
 
 BASELINE_SCHEMA = "rdmasem-perf-baseline-v1"
+# Effective cores the parallel floor, the park budget and a baseline
+# recording need.
+MIN_CORES = 4
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "bench",
     "selfbench_baseline.json")
@@ -81,6 +87,11 @@ def load_points(path):
     if not points:
         die(f"{path}: no sweep points")
     return points
+
+
+def effective_cores(par_cpus):
+    """Spin-probe reading rounded to whole cores (0 when absent)."""
+    return 0 if par_cpus is None else int(par_cpus + 0.5)
 
 
 def park_share(report, shards):
@@ -158,18 +169,14 @@ def main():
                         "RDMASEM_PERF_MIN_PAR_SPEEDUP", "2.0")),
                     help="floor for the 4-shard/serial parallel ratio "
                          "(enforced only when the report was produced on "
-                         "a host with >= 4 hardware threads)")
-    ap.add_argument("--min-datapath-speedup", type=float,
-                    default=float(os.environ.get(
-                        "RDMASEM_PERF_MIN_DATAPATH_SPEEDUP", "1.5")),
-                    help="floor for the tuned/legacy verbs-datapath ratio")
+                         "a host with >= 4 effective cores)")
     ap.add_argument("--max-park-share", type=float,
                     default=float(os.environ.get(
                         "RDMASEM_PERF_MAX_PARK_SHARE", "0.40")),
                     help="barrier-park budget: ceiling on the shard-4 "
                          "park/wall share from the report's engine_profile "
                          "section (enforced only on hosts with >= 4 "
-                         "hardware threads; env RDMASEM_PERF_MAX_PARK_SHARE)")
+                         "effective cores; env RDMASEM_PERF_MAX_PARK_SHARE)")
     ap.add_argument("--tenant-report", default=None,
                     help="BENCH_ext_tenant_scale.json; when given, also "
                          "enforce the multi-tenant scaling floors")
@@ -223,18 +230,21 @@ def main():
     # Parallel-engine self-ratio. The sweep is REQUIRED (since PR 9): a
     # report without it can silently skip the scaling floor, so its
     # absence is a gate failure, not a skip. The floor itself is only
-    # waived on hosts with < 4 hardware threads, which physically cannot
+    # waived on hosts with < 4 effective cores, which physically cannot
     # exhibit a 4-shard speedup.
     par_speedup = points.get(("speedup", "par4"))
     par_cpus = points.get(("parallel_cpus", "host"))
-    if par_speedup is None and not args.update_baseline:
+    cores = effective_cores(par_cpus)
+    if par_speedup is None:
         die("report lacks the speedup/par4 point (parallel sweep) — "
             "the 4-shard scaling floor cannot be skipped")
-    # Verbs-datapath self-ratio and allocation count, same presence rule.
-    dp_speedup = points.get(("speedup", "datapath"))
     dp_allocs = points.get(("datapath_allocs", "steady"))
 
     if args.update_baseline:
+        if cores < MIN_CORES:
+            die(f"refusing --update-baseline: the report's spin probe "
+                f"read {0.0 if par_cpus is None else par_cpus:.2f} "
+                f"effective cores (rounds to {cores}), need >= {MIN_CORES}")
         baseline = {
             "schema": BASELINE_SCHEMA,
             "note": "regenerate with scripts/perf_gate.py --update-baseline "
@@ -245,13 +255,9 @@ def main():
             "absolute_mev": {k: round(v, 4) for k, v in workloads.items()},
             "normalized": {k: round(v, 4) for k, v in normalized.items()},
         }
-        if par_speedup is not None:
-            # Context only — the gate uses the in-run ratio, never this.
-            baseline["parallel_speedup"] = round(par_speedup, 4)
-            baseline["parallel_cpus"] = round(par_cpus or 0.0, 1)
-        if dp_speedup is not None:
-            # Context only, like parallel_speedup.
-            baseline["datapath_speedup"] = round(dp_speedup, 4)
+        # Context only — the gate uses the in-run ratio, never this.
+        baseline["parallel_speedup"] = round(par_speedup, 4)
+        baseline["parallel_cpus"] = round(par_cpus, 2)
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
             f.write("\n")
@@ -276,31 +282,29 @@ def main():
             f"dispatch speedup {speedup:.2f}x fell below the "
             f"{args.min_speedup:.2f}x floor")
 
-    if par_speedup is not None:
-        if par_cpus is not None and par_cpus >= 4:
-            print(f"perf_gate: parallel speedup 4-shard/serial = "
-                  f"{par_speedup:.2f}x (floor {args.min_par_speedup:.2f}x, "
-                  f"host threads {par_cpus:.0f})")
-            if par_speedup < args.min_par_speedup:
-                failures.append(
-                    f"parallel 4-shard speedup {par_speedup:.2f}x fell "
-                    f"below the {args.min_par_speedup:.2f}x floor")
-        else:
-            print(f"perf_gate: parallel speedup 4-shard/serial = "
-                  f"{par_speedup:.2f}x — floor SKIPPED (host has "
-                  f"{0 if par_cpus is None else par_cpus:.0f} hardware "
-                  f"threads, need >= 4)")
+    if cores >= MIN_CORES:
+        print(f"perf_gate: parallel speedup 4-shard/serial = "
+              f"{par_speedup:.2f}x (floor {args.min_par_speedup:.2f}x, "
+              f"effective cores {par_cpus:.2f})")
+        if par_speedup < args.min_par_speedup:
+            failures.append(
+                f"parallel 4-shard speedup {par_speedup:.2f}x fell "
+                f"below the {args.min_par_speedup:.2f}x floor")
+    else:
+        print(f"perf_gate: parallel speedup 4-shard/serial = "
+              f"{par_speedup:.2f}x — floor SKIPPED (host has {cores} "
+              f"effective cores, need >= {MIN_CORES})")
 
     # Barrier-park budget (PR 10): with the demand-driven horizon engaged,
     # shard-4 workers must spend most of their wall time dispatching, not
     # parked at the epoch barrier. Same host waiver as the speedup floor:
-    # on < 4 hardware threads the workers time-slice one another and park
+    # on < 4 effective cores the workers time-slice one another and park
     # time measures the scheduler, not the engine. The selfbench's parallel
     # sweep always runs profiled (bench/selfbench_engine.cpp), so a missing
     # profile group means the sweep was skipped — already fatal above.
     share = park_share(report, 4)
     if share is not None:
-        if par_cpus is not None and par_cpus >= 4:
+        if cores >= MIN_CORES:
             verdict = "ok" if share < args.max_park_share else "REGRESSED"
             print(f"perf_gate: shard-4 barrier-park share = {share:.3f} "
                   f"(budget {args.max_park_share:.2f}) {verdict}")
@@ -310,17 +314,8 @@ def main():
                     f"{args.max_park_share:.2f} budget")
         else:
             print(f"perf_gate: shard-4 barrier-park share = {share:.3f} "
-                  f"— budget SKIPPED (host has "
-                  f"{0 if par_cpus is None else par_cpus:.0f} hardware "
-                  f"threads, need >= 4)")
-
-    if dp_speedup is not None:
-        print(f"perf_gate: datapath speedup tuned/legacy = "
-              f"{dp_speedup:.2f}x (floor {args.min_datapath_speedup:.2f}x)")
-        if dp_speedup < args.min_datapath_speedup:
-            failures.append(
-                f"datapath speedup {dp_speedup:.2f}x fell below the "
-                f"{args.min_datapath_speedup:.2f}x floor")
+                  f"— budget SKIPPED (host has {cores} effective cores, "
+                  f"need >= {MIN_CORES})")
 
     if dp_allocs is not None:
         verdict = "ok" if dp_allocs == 0 else "REGRESSED"

@@ -34,6 +34,10 @@ PRs instead of overwriting it. Point --trajectory-file elsewhere or at ""
 to disable. The accumulated history is mirrored into BENCH_ALL.json under
 "trajectory_history".
 
+Each row also records two design-quality numbers read from the source
+tree: src_lines (lines of src/**/*.cpp and *.hpp) and env_knobs (distinct
+RDMASEM_* names passed to util::env_* in src/). Both should only go down.
+
 Shrink knobs: the benches honour the same env as scripts/bench_smoke.cmake
 (RDMASEM_SHUFFLE_ENTRIES etc.), and RDMASEM_SHARDS applies to every child,
 so `RDMASEM_SHARDS=4 scripts/run_all_benches.py build` runs the battery on
@@ -47,6 +51,7 @@ import argparse
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -63,6 +68,24 @@ TRAJECTORY_SCHEMA = "rdmasem-trajectory-v1"
 DEFAULT_TRAJECTORY = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "bench",
     "trajectory.jsonl")
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+ENV_KNOB = re.compile(r'\benv_\w+\(\s*"(RDMASEM_[A-Z0-9_]+)"')
+
+
+def design_quality(src_dir=SRC_DIR):
+    """Line count of src/**/*.{cpp,hpp} and the distinct RDMASEM_* names
+    the library reads through util::env_*."""
+    lines, knobs = 0, set()
+    for root, _, files in os.walk(src_dir):
+        for name in files:
+            if not name.endswith((".cpp", ".hpp")):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as f:
+                text = f.read()
+            lines += text.count("\n")
+            knobs.update(ENV_KNOB.findall(text))
+    return {"src_lines": lines, "env_knobs": len(knobs)}
 
 
 def engine_health(report_path):
@@ -90,8 +113,6 @@ def engine_health(report_path):
             "fused_epochs": sum(int(r.get("fused_epochs", 0)) for r in rows),
             "resplit_epochs": sum(int(r.get("resplit_epochs", 0))
                                   for r in rows),
-            "quiescent_terms": sum(int(r.get("quiescent_terms", 0))
-                                   for r in rows),
         }
     return None
 
@@ -289,7 +310,8 @@ def main():
         "events_per_epoch": health.get("events_per_epoch"),
         "park_share": health.get("park_share"),
         "fused_epochs": health.get("fused_epochs"),
-        "quiescent_terms": health.get("quiescent_terms"),
+        "resplit_epochs": health.get("resplit_epochs"),
+        **design_quality(),
     }
 
     history = []

@@ -72,12 +72,6 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
     if (lat == kUnset) lat = base;
   engine_.configure_lanes(lanes, shard_count(params.machines),
                           std::move(topo));
-  // Publication quantum for the demand-driven horizon: half the base
-  // fabric latency. Clock publications then land at least twice per
-  // lookahead window, so a peer's live term never lags a full epoch
-  // behind the sender's true position (RDMASEM_HORIZON_QUANTUM overrides).
-  if (engine_.horizon_quantum() == 0)
-    engine_.set_horizon_quantum(std::max<sim::Duration>(base / 2, 1));
   faults_.set_lanes(lanes);
   obs_.tracer.set_lanes(lanes);
   machines_.reserve(params.machines);

@@ -59,10 +59,10 @@ void EngineProfileAccum::absorb(const sim::EngineProfile& p) {
     r.wall_ns += s.wall_ns;
     r.max_queue_depth = std::max(r.max_queue_depth, s.max_queue_depth);
     r.lookahead_ps += s.lookahead_ps;
-    r.quiescent_terms += s.quiescent_terms;
     r.fused_epochs += s.fused_epochs;
     r.resplit_epochs += s.resplit_epochs;
     r.horizon_widening_ps += s.horizon_widening_ps;
+    r.spilled_events += s.spilled_events;
   }
 }
 
@@ -71,7 +71,7 @@ std::string EngineProfileAccum::render() const {
   std::string out;
   for (const auto& [shards, g] : groups_) {
     util::Table t({"shard", "epochs", "events", "ev/epoch", "eff_la_ns",
-                   "fused", "resplit", "quiesc", "widen_ns",
+                   "fused", "resplit", "widen_ns", "spilled",
                    "inline", "merged", "dispatch_ms", "park_ms", "merge_ms",
                    "wall_ms", "accounted", "max_qdepth"});
     t.set_title("engine profile: shards=" + std::to_string(shards) +
@@ -84,9 +84,9 @@ std::string EngineProfileAccum::render() const {
                  util::fmt(effective_lookahead_ps(r) / 1e3, 1),
                  std::to_string(r.fused_epochs),
                  std::to_string(r.resplit_epochs),
-                 std::to_string(r.quiescent_terms),
                  util::fmt(static_cast<double>(r.horizon_widening_ps) / 1e3,
                            1),
+                 std::to_string(r.spilled_events),
                  std::to_string(r.inline_grants),
                  std::to_string(r.merged_events),
                  util::fmt(static_cast<double>(r.dispatch_ns) / 1e6, 2),
@@ -127,11 +127,11 @@ std::string EngineProfileAccum::json() const {
       out += ", \"wall_ns\": " + std::to_string(r.wall_ns);
       out += ", \"max_queue_depth\": " + std::to_string(r.max_queue_depth);
       out += ", \"lookahead_ps\": " + std::to_string(r.lookahead_ps);
-      out += ", \"quiescent_terms\": " + std::to_string(r.quiescent_terms);
       out += ", \"fused_epochs\": " + std::to_string(r.fused_epochs);
       out += ", \"resplit_epochs\": " + std::to_string(r.resplit_epochs);
       out += ", \"horizon_widening_ps\": " +
              std::to_string(r.horizon_widening_ps);
+      out += ", \"spilled_events\": " + std::to_string(r.spilled_events);
       out += ", \"accounted_share\": " + json_num(accounted_share(r), 6);
       out += ", \"epochs_per_sec\": " + json_num(epochs_per_sec(r), 3);
       out += ", \"events_per_epoch\": " + json_num(events_per_epoch(r), 3);

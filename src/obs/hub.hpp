@@ -30,12 +30,12 @@ struct Hub {
   Counter& backoff_ps;         // total retransmit backoff (picoseconds)
   Counter& rnr_naks;           // SEND receiver-not-ready NAK rounds
   // verbs datapath: payload staging routes. Deterministic predicates of
-  // the WR shape and tuning config (NOT freelist state, which depends on
-  // thread placement), so the values are shard-count invariant:
+  // the WR shape (NOT freelist state, which depends on thread placement),
+  // so the values are shard-count invariant:
   //   zero_copy_wrs     — payloads carried as a borrowed MR view
   //   payload_pool_hits — staged through an O(1) route (inline arm or
   //                       pooled size class)
-  //   payload_pool_misses — staged via the heap (oversize or pool off)
+  //   payload_pool_misses — staged via the heap (oversize payloads)
   Counter& zero_copy_wrs;
   Counter& payload_pool_hits;
   Counter& payload_pool_misses;

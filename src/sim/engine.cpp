@@ -74,12 +74,6 @@ Engine::Engine() : base_seed_(kDefaultSeed) {
   shard_lat_.assign(1, 0);
   shard_reach_.assign(1, 0);
   prof_ = util::env_bool("RDMASEM_PROF", false);
-  epoch_legacy_ = util::env_bool("RDMASEM_EPOCH_LEGACY", false);
-  inline_wakeups_ = util::env_bool("RDMASEM_INLINE_WAKEUPS", true);
-  horizon_legacy_ = util::env_bool("RDMASEM_HORIZON_LEGACY", false);
-  horizon_quantum_ = util::env_u64("RDMASEM_HORIZON_QUANTUM", 0);
-  horizon_poll_budget_ = util::env_u64("RDMASEM_HORIZON_POLL_BUDGET", 512);
-  horizon_fuse_events_ = util::env_u64("RDMASEM_HORIZON_FUSE_EVENTS", 4096);
 }
 
 Engine::~Engine() {
@@ -200,13 +194,6 @@ void Engine::configure_lanes(std::uint32_t lanes, std::uint32_t shards,
     sh->live_clock.store(0, std::memory_order_relaxed);
     sh->pub_freeze = kNoDeadline;
     sh->pub_mark = 0;
-    sh->publishing = false;
-    std::fill(std::begin(sh->win_events), std::end(sh->win_events),
-              std::uint64_t{0});
-    sh->win_sum = 0;
-    sh->win_pos = 0;
-    sh->win_count = 0;
-    sh->round_base = sh->processed;
   }
   rebuild_shard_lookahead();
 }
@@ -340,7 +327,7 @@ Time Engine::run() {
     ProfClock::time_point w0;
     if (prof_) w0 = ProfClock::now();
     const detail::ExecContext saved = detail::t_exec;
-    detail::t_exec = {this, 0, 0, inline_wakeups_ ? kNoDeadline : 0};
+    detail::t_exec = {this, 0, 0, kNoDeadline};
     while (!sh.queue.empty()) {
       Event ev = sh.queue.pop();
       sh.now = ev.at;
@@ -377,9 +364,7 @@ bool Engine::run_until(Time deadline) {
     // Horizon deadline + 1: events AT the deadline still run (saturating;
     // a deadline of kNoDeadline behaves like run()).
     detail::t_exec = {this, 0, 0,
-                      !inline_wakeups_         ? Time{0}
-                      : deadline == kNoDeadline ? kNoDeadline
-                                                : deadline + 1};
+                      deadline == kNoDeadline ? kNoDeadline : deadline + 1};
     while (!sh.queue.empty() && sh.queue.next_time() <= deadline) {
       Event ev = sh.queue.pop();
       sh.now = ev.at;
@@ -436,54 +421,17 @@ std::uint64_t Engine::run_events(std::uint64_t max_events) {
   return n;
 }
 
-void Engine::merge_outboxes() {
-  for (auto& src : shards_) {
-    for (std::uint32_t d = 0; d < nshards_; ++d) {
-      auto& box = src->outbox[d];
-      if (box.empty()) continue;
-      // Safe to write another shard's profile row here: workers are
-      // parked at the barrier whenever the main thread merges.
-      shards_[d]->prof.merged_events += box.size();
-      shards_[d]->queue.push_all(box);
-    }
-  }
-}
-
-void Engine::run_shard_epoch(std::uint32_t shard_idx, Time end) {
-  Shard& sh = *shards_[shard_idx];
-  ProfClock::time_point w0;
-  if (prof_) w0 = ProfClock::now();
-  const detail::ExecContext saved = detail::t_exec;
-  // Inline grants are bounded by the epoch: past `end` another shard may
-  // still produce an earlier cross-shard event, so the wakeup must go
-  // through the queue and the next barrier.
-  detail::t_exec = {this, shard_idx, 0, inline_wakeups_ ? end : 0};
-  while (!sh.queue.empty() && sh.queue.next_time() < end) {
-    Event ev = sh.queue.pop();
-    sh.now = ev.at;
-    ++sh.processed;
-    detail::t_exec.lane = ev.exec_lane;
-    if (ev.handle) {
-      ev.handle.resume();
-    } else {
-      ev.fn();
-    }
-  }
-  detail::t_exec = saved;
-  if (prof_) sh.prof.dispatch_ns += ns_since(w0);
-}
-
-// --- demand-driven horizon (PR 10) -------------------------------------------
+// --- demand-driven horizon ---------------------------------------------------
 //
 // The static CMB bound recomputed at every barrier is worst-case: it
 // assumes every peer might send the instant its next event runs. On flat
-// fabrics with fine-grained traffic that yields sub-10-event epochs and
-// barrier park dominates the profile. The demand-driven run phase keeps a
-// round going PAST the static bound by reading what the peers are
-// actually doing:
+// fabrics with fine-grained traffic that alone yields sub-10-event rounds
+// and barrier park dominates the profile. So the static bound only opens
+// a round; the run phase keeps the round going PAST it by reading what the
+// peers are actually doing:
 //
-//   * Every engaged shard continuously publishes (release, quantum-gated)
-//     a monotone floor on its next dispatch time through next_time: at a
+//   * Every shard continuously publishes (release, quantum-gated) a
+//     monotone floor on its next dispatch time through live_clock: at a
 //     dispatch, the event's timestamp; stalled or drained, its own
 //     conservative bound (every future dispatch — a queued event or an
 //     arrival still in flight toward it — is provably >= that bound, by
@@ -514,11 +462,9 @@ void Engine::run_shard_epoch(std::uint32_t shard_idx, Time end) {
 //
 // Quiescence: a drained shard publishes its refreshed bound — anchored by
 // the ACTIVE peers' clocks — so an idle pair's term chases the sender's
-// clock instead of pinning it one lookahead ahead; with no deadline and
-// no traffic the term saturates and drops out entirely (counted in
-// quiescent_terms). No rollback, no speculation: the bound is always
-// conservative, so output stays byte-identical at every shard count and
-// with RDMASEM_HORIZON_LEGACY={0,1} (tests/horizon_test.cpp).
+// clock instead of pinning it one lookahead ahead. No rollback, no
+// speculation: the bound is always conservative, so output stays
+// byte-identical to serial at every shard count (tests/horizon_test.cpp).
 
 void Engine::channel_pull(Shard& dst, EventChannel& ch) {
   const std::uint64_t h = ch.head.load(std::memory_order_relaxed);
@@ -534,7 +480,6 @@ Time Engine::refresh_horizon(std::uint32_t shard_idx, Time cap) {
   Shard& sh = *shards_[shard_idx];
   const std::size_t n = nshards_;
   Time end = kNoDeadline;
-  std::uint64_t quiescent = 0;
   for (std::uint32_t s = 0; s < n; ++s) {
     if (s == shard_idx) continue;
     Shard& src = *shards_[s];
@@ -542,10 +487,6 @@ Time Engine::refresh_horizon(std::uint32_t shard_idx, Time cap) {
     // argument above rests on.
     const Time clk = src.live_clock.load(std::memory_order_acquire);
     channel_pull(sh, src.chan[shard_idx]);
-    if (clk == kNoDeadline) {
-      ++quiescent;  // quiescent pair: the term drops out of the bound
-      continue;
-    }
     const Duration reach =
         shard_reach_[static_cast<std::size_t>(s) * n + shard_idx];
     const Time bound = clk + reach < clk ? kNoDeadline : clk + reach;
@@ -561,14 +502,13 @@ Time Engine::refresh_horizon(std::uint32_t shard_idx, Time cap) {
     const Time bound = own + rt < own ? kNoDeadline : own + rt;
     end = std::min(end, bound);
   }
-  sh.prof.quiescent_terms += quiescent;
   return std::min(end, cap);
 }
 
 void Engine::run_shard_demand(std::uint32_t shard_idx, Time end, Time cap) {
   Shard& sh = *shards_[shard_idx];
   const detail::ExecContext saved = detail::t_exec;
-  detail::t_exec = {this, shard_idx, 0, inline_wakeups_ ? end : 0};
+  detail::t_exec = {this, shard_idx, 0, end};
   const Duration quantum = pub_quantum_;
   // Opening clock: the earliest this shard can still dispatch — its own
   // next event, or (queue empty) its static bound, below which nothing
@@ -612,7 +552,7 @@ void Engine::run_shard_demand(std::uint32_t shard_idx, Time end, Time cap) {
     if (sh.processed != before) {
       idle_iters = 0;
       stall_polls = 0;
-    } else if (++idle_iters > horizon_poll_budget_) {
+    } else if (++idle_iters > kPollBudget) {
       if (!sh.queue.empty()) ++sh.prof.resplit_epochs;
       break;  // no peer progress within the budget: re-split
     }
@@ -622,16 +562,15 @@ void Engine::run_shard_demand(std::uint32_t shard_idx, Time end, Time cap) {
       // The bound widened: fuse what would have been another barrier
       // round into this one.
       ++sh.prof.fused_epochs;
-      if (live != kNoDeadline) sh.prof.horizon_widening_ps += live - end;
+      sh.prof.horizon_widening_ps += live - end;
       end = live;
       stall_polls = 0;
-      detail::t_exec.inline_until = inline_wakeups_ ? end : 0;
+      detail::t_exec.inline_until = end;
       continue;
     }
     // live == end (the bound is monotone). Deliveries may still have
     // landed inside it — run them; otherwise we are stalled.
     if (!sh.queue.empty() && sh.queue.next_time() < end) continue;
-    if (sh.queue.empty() && live == kNoDeadline) break;  // global drain
     if (++stall_polls > 64) {
       if (!sh.queue.empty()) ++sh.prof.resplit_epochs;
       break;  // peers' clocks are flat: nothing left to fuse this round
@@ -657,55 +596,18 @@ void Engine::run_shard_demand(std::uint32_t shard_idx, Time end, Time cap) {
   detail::t_exec = saved;
 }
 
-void Engine::worker_main(std::uint32_t shard_idx, std::uint64_t base_gen) {
-  // The baseline generation is captured by the main thread BEFORE the
-  // first epoch is released — reading gen_ here instead would race with
-  // that release and could skip the first epoch (deadlocking the barrier).
-  Shard& sh = *shards_[shard_idx];
-  const bool prof = prof_;
-  ProfClock::time_point wall0;
-  if (prof) wall0 = ProfClock::now();
-  std::uint64_t seen = base_gen;
-  for (;;) {
-    if (prof) {
-      const ProfClock::time_point p0 = ProfClock::now();
-      spin_until(
-          [&] { return gen_.load(std::memory_order_acquire) != seen; });
-      sh.prof.barrier_park_ns += ns_since(p0);
-    } else {
-      spin_until(
-          [&] { return gen_.load(std::memory_order_acquire) != seen; });
-    }
-    seen = gen_.load(std::memory_order_acquire);
-    if (stop_) break;
-    run_shard_epoch(shard_idx, epoch_end_);
-    if (prof) ++sh.prof.epochs;
-    arrived_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  if (prof) sh.prof.wall_ns += ns_since(wall0);
-}
-
-bool Engine::run_parallel(Time deadline) {
-  RDMASEM_CHECK_MSG(lookahead_ > 0,
-                    "parallel run requires set_lookahead() > 0");
-  return epoch_legacy_ ? run_parallel_legacy(deadline)
-                       : run_parallel_epochs(deadline);
-}
-
-// --- new protocol: SPMD sense-reversing epochs -------------------------------
+// --- SPMD sense-reversing rounds ----------------------------------------------
 //
 // Every thread (the main thread acts as shard 0's worker) runs the same
 // loop: pull own inboxes, publish own next event time, barrier, compute
-// the identical per-shard horizons from the published times, run own
-// epoch, barrier. Two barrier crossings per epoch — the same count as the
-// legacy protocol — but the merge and the horizon computation run on all
-// threads concurrently instead of serializing on the main thread, and the
+// the identical per-shard opening bounds from the published times, run
+// own round (demand-driven past that bound), barrier. The merge and the
+// bound computation run on all threads concurrently, and the
 // per-destination CMB bound
 //   end(d) = min over all s of (next(s) + shard_reach(s, d))
 // (shard_reach = min >=1-hop chain cost, diagonal = min round trip) is
-// never narrower than the legacy global epoch (t + min lookahead) and
-// much wider on non-uniform topologies, cutting barrier frequency — the
-// dominant cost in the pre-PR-9 shard-4 profile (docs/PERF.md).
+// never narrower than a global epoch (t + min lookahead) and much wider
+// on non-uniform topologies.
 
 void Engine::barrier_wait(std::uint64_t& phase, ShardProfile* prof) {
   const std::uint64_t p = phase;
@@ -765,29 +667,18 @@ void Engine::epoch_loop(std::uint32_t shard_idx, Time deadline,
       drain_inboxes(shard_idx);
     }
     // 1b. Reset the per-round publication state (owner-only fields; the
-    //     coming barrier orders these against peers' reads) and decide
-    //     engagement: the demand-driven phase only pays off when realized
-    //     events-per-round is low, so it engages when the sliding-window
-    //     average drops under the fuse threshold (always on an empty
-    //     window — the first rounds of a run are where fine-grained
-    //     workloads starve).
+    //     coming barrier orders these against peers' reads).
     sh.pub_freeze = kNoDeadline;
     sh.pub_mark = 0;
-    sh.publishing =
-        !horizon_legacy_ &&
-        (sh.win_count == 0 || sh.win_sum < horizon_fuse_events_ * sh.win_count);
     // 2. Publish the post-merge next event time (relaxed: the barrier's
     //    acq/rel pair publishes it). next_time stays UNTOUCHED until the
     //    next round's step 2, so every shard's step-3 bounds come from
-    //    one consistent snapshot. The live clock starts at the same
-    //    value for a static shard (exact: an empty one provably sends
-    //    nothing this round, so peers may drop its term entirely), but
-    //    an ENGAGED shard starts at sh.now even when drained — it can
-    //    pull and relay mid-round, so it may never claim quiescence.
-    const Time nt = sh.queue.next_time_or(kNoDeadline);
-    sh.next_time.store(nt, std::memory_order_relaxed);
-    sh.live_clock.store(sh.publishing ? sh.now : nt,
-                        std::memory_order_relaxed);
+    //    one consistent snapshot. The live clock starts at sh.now even
+    //    when drained — the shard can pull and relay mid-round, so it
+    //    may never claim quiescence.
+    sh.next_time.store(sh.queue.next_time_or(kNoDeadline),
+                       std::memory_order_relaxed);
+    sh.live_clock.store(sh.now, std::memory_order_relaxed);
     barrier_wait(phase, bp);  // barrier A: all next-times published
     // 3. Redundantly compute the horizons — every thread reads the same
     //    published times and lands on identical values, so nothing needs
@@ -820,47 +711,33 @@ void Engine::epoch_loop(std::uint32_t shard_idx, Time deadline,
     }
     const Time own_end = sh.epoch_ends[shard_idx];
     if (own_end != kNoDeadline) sh.prof.lookahead_ps += own_end - t;
-    // 4. Run this shard's epoch; cross-shard pushes land in own channels
-    //    (or outbox rows on spill / legacy), checked against epoch_ends
-    //    (identical on every thread). An engaged shard keeps extending
-    //    its bound past the static horizon from the peers' live clocks;
-    //    mixing is safe because a non-publishing peer's next_time holds
-    //    the exact barrier-A value, which IS its static term.
-    if (sh.publishing) {
-      const Time cap =
-          deadline == kNoDeadline ? kNoDeadline : deadline + 1;
-      run_shard_demand(shard_idx, own_end, cap);
-    } else {
-      run_shard_epoch(shard_idx, own_end);
-    }
+    // 4. Run this shard's round; cross-shard pushes land in own channels
+    //    (or outbox rows on spill), checked against epoch_ends (identical
+    //    on every thread). The shard keeps extending its bound past the
+    //    static horizon from the peers' live clocks.
+    run_shard_demand(shard_idx, own_end,
+                     deadline == kNoDeadline ? kNoDeadline : deadline + 1);
     if (prof) ++sh.prof.epochs;  // one barrier round == one epoch
-    // 4b. Fold this round's realized event count into the sliding window
-    //     that drives engagement.
-    const std::uint64_t ran = sh.processed - sh.round_base;
-    sh.round_base = sh.processed;
-    sh.win_sum += ran - sh.win_events[sh.win_pos];
-    sh.win_events[sh.win_pos] = ran;
-    sh.win_pos = (sh.win_pos + 1) & 7u;
-    if (sh.win_count < 8) ++sh.win_count;
     barrier_wait(phase, bp);  // barrier B: all channels + spill rows stable
   }
   if (prof) sh.prof.wall_ns += ns_since(wall0);
 }
 
-bool Engine::run_parallel_epochs(Time deadline) {
+bool Engine::run_parallel(Time deadline) {
+  RDMASEM_CHECK_MSG(lookahead_ > 0,
+                    "parallel run requires set_lookahead() > 0");
   parallel_running_ = true;
-  // Resolve the publication quantum once per run: an explicit knob wins,
-  // otherwise half the global lookahead — fine enough that a peer's term
-  // tracks within half an epoch of its true clock, coarse enough that
-  // publication stays off the dispatch fast path.
-  pub_quantum_ = horizon_quantum_ != 0
-                     ? horizon_quantum_
-                     : std::max<Duration>(lookahead_ / 2, 1);
+  // Publication quantum: half the global lookahead — fine enough that a
+  // peer's term tracks within half an epoch of its true clock (clock
+  // publications land at least twice per lookahead window), coarse
+  // enough that publication stays off the dispatch fast path. For a
+  // cluster the floor is the one-switch fabric hop on flat and leaf/spine
+  // fabrics alike.
+  pub_quantum_ = std::max<Duration>(lookahead_ / 2, 1);
   for (auto& sh : shards_) {
     sh->epoch_ends.assign(nshards_, 0);
     sh->next_time.store(0, std::memory_order_relaxed);
     sh->live_clock.store(0, std::memory_order_relaxed);
-    sh->round_base = sh->processed;
   }
   // The base phase is captured before any thread starts so every
   // participant enters the first barrier with the same sense.
@@ -874,81 +751,6 @@ bool Engine::run_parallel_epochs(Time deadline) {
   for (auto& w : workers) w.join();
   parallel_running_ = false;
   if (prof_) ++prof_runs_;
-
-  Time mx = unified_now_;
-  for (const auto& sh : shards_) mx = std::max(mx, sh->now);
-  unified_now_ = mx;
-  for (const auto& sh : shards_)
-    if (!sh->queue.empty()) return true;
-  return false;
-}
-
-// --- legacy protocol (RDMASEM_EPOCH_LEGACY=1) --------------------------------
-
-bool Engine::run_parallel_legacy(Time deadline) {
-  stop_ = false;
-  parallel_running_ = true;
-  for (auto& sh : shards_) sh->epoch_ends.assign(nshards_, 0);
-  std::vector<std::thread> workers;
-  workers.reserve(nshards_ - 1);
-  const std::uint64_t base_gen = gen_.load(std::memory_order_relaxed);
-  for (std::uint32_t s = 1; s < nshards_; ++s)
-    workers.emplace_back(&Engine::worker_main, this, s, base_gen);
-
-  const bool prof = prof_;
-  Shard& s0 = *shards_[0];
-  ProfClock::time_point wall0;
-  if (prof) wall0 = ProfClock::now();
-  for (;;) {
-    // Workers are parked here (either not yet released, or arrived at the
-    // barrier), so the main thread owns every queue and outbox.
-    if (prof) {
-      const ProfClock::time_point m0 = ProfClock::now();
-      merge_outboxes();
-      s0.prof.merge_ns += ns_since(m0);
-    } else {
-      merge_outboxes();
-    }
-    Time t = kNoDeadline;
-    for (auto& sh : shards_)
-      if (!sh->queue.empty()) t = std::min(t, sh->queue.next_time());
-    if (t == kNoDeadline || (deadline != kNoDeadline && t > deadline)) break;
-    Time end = t + lookahead_;
-    if (end < t) end = kNoDeadline;  // saturate
-    if (deadline != kNoDeadline) end = std::min(end, deadline + 1);
-    epoch_end_ = end;
-    // The global epoch is the bound for every (src, dst) pair; published
-    // to the workers' private epoch_ends copies through gen_'s release.
-    for (auto& sh : shards_) {
-      std::fill(sh->epoch_ends.begin(), sh->epoch_ends.end(), end);
-      if (end != kNoDeadline) sh->prof.lookahead_ps += end - t;
-    }
-    arrived_.store(0, std::memory_order_relaxed);
-    gen_.fetch_add(1, std::memory_order_release);
-    run_shard_epoch(0, epoch_end_);
-    if (prof) ++s0.prof.epochs;
-    arrived_.fetch_add(1, std::memory_order_acq_rel);
-    if (prof) {
-      const ProfClock::time_point p0 = ProfClock::now();
-      spin_until([&] {
-        return arrived_.load(std::memory_order_acquire) == nshards_;
-      });
-      s0.prof.barrier_park_ns += ns_since(p0);
-    } else {
-      spin_until([&] {
-        return arrived_.load(std::memory_order_acquire) == nshards_;
-      });
-    }
-  }
-
-  if (prof) {
-    s0.prof.wall_ns += ns_since(wall0);
-    ++prof_runs_;
-  }
-  stop_ = true;
-  gen_.fetch_add(1, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  parallel_running_ = false;
 
   Time mx = unified_now_;
   for (const auto& sh : shards_) mx = std::max(mx, sh->now);

@@ -28,9 +28,9 @@ namespace detail {
 // (see Engine::try_inline_advance): a suspension whose wakeup lands
 // strictly before it MAY run inline, without an event. The run loops set
 // it to their dispatch horizon (run: unbounded; run_until: deadline + 1;
-// parallel epochs: epoch_end). It stays 0 — fast path off — in
-// run_events(), whose cross-shard global-minimum stepping cannot be
-// checked against a single shard queue, and outside any dispatch.
+// parallel rounds: the shard's current bound). It stays 0 — fast path
+// off — in run_events(), whose cross-shard global-minimum stepping cannot
+// be checked against a single shard queue, and outside any dispatch.
 struct ExecContext {
   Engine* eng = nullptr;
   std::uint32_t shard = 0;
@@ -59,29 +59,25 @@ struct ShardProfile {
   std::uint64_t events = 0;       // events dispatched (incl. inline grants)
   std::uint64_t inline_grants = 0;   // suspensions elided by the fast path
   std::uint64_t merged_events = 0;   // cross-shard events merged INTO this
-                                     // shard's queue at epoch barriers
-  std::uint64_t merge_ns = 0;        // inbox-merge wall time (each worker
-                                     // pulls its own inboxes at epoch entry;
-                                     // under RDMASEM_EPOCH_LEGACY the main
-                                     // thread merges and shard 0 carries it)
+                                     // shard's queue (mid-round channel
+                                     // pulls plus barrier drains)
+  std::uint64_t merge_ns = 0;        // barrier inbox-drain wall time (each
+                                     // worker pulls its own inboxes at
+                                     // round entry)
   std::uint64_t barrier_park_ns = 0;  // parked at the epoch barrier
   std::uint64_t dispatch_ns = 0;      // inside the event-dispatch loop
   std::uint64_t wall_ns = 0;          // whole-run wall time for this shard
   std::uint64_t max_queue_depth = 0;  // event-queue high-water mark
-  std::uint64_t lookahead_ps = 0;  // summed epoch widths granted to this
-                                   // shard (virtual ps past the global
-                                   // floor); /epochs = effective lookahead.
-                                   // Static widths are virtual-time derived
-                                   // and deterministic; demand-driven
-                                   // extensions (below) add race-dependent
-                                   // widening, so treat it as Plane-2.
-  // --- demand-driven horizon counters (PR 10). Like barrier_park_ns these
-  // are host-race-dependent: how far a horizon extends depends on how far
+  std::uint64_t lookahead_ps = 0;  // summed opening (static CMB) widths
+                                   // granted to this shard (virtual ps past
+                                   // the global floor); /epochs = effective
+                                   // lookahead. Virtual-time derived, but
+                                   // the round count it is summed over is
+                                   // race-dependent, so treat it as Plane-2.
+  // --- demand-driven horizon counters. Like barrier_park_ns these are
+  // host-race-dependent: how far a horizon extends depends on how far
   // peers happened to have advanced when we refreshed. Output stays
   // byte-identical regardless (the bound is always conservative).
-  std::uint64_t quiescent_terms = 0;  // peer terms seen quiescent (clock
-                                      // published as "no future sends")
-                                      // during live-bound refreshes
   std::uint64_t fused_epochs = 0;     // successful horizon extensions: a
                                       // refresh widened the bound, fusing
                                       // what would have been another
@@ -92,6 +88,9 @@ struct ShardProfile {
                                       // re-split at the epoch barrier
   std::uint64_t horizon_widening_ps = 0;  // virtual ps gained past the
                                           // static CMB bound by extensions
+  std::uint64_t spilled_events = 0;   // cross-shard events this shard sent
+                                      // through the barrier-drained outbox
+                                      // because the channel ring was full
 };
 
 struct EngineProfile {
@@ -140,14 +139,14 @@ struct LaneTopology {
 // chains through currently-empty shards. It is never narrower than the
 // classic global-minimum epoch, and much wider
 // when the topology is non-uniform (e.g. leaf/spine fabrics with shards
-// aligned to leaves). Events crossing shards inside an epoch go through
-// per-(src,dst) mailboxes; each worker pulls its own inboxes at epoch
-// entry under a sense-reversing barrier. Because merge order is absorbed
-// by the (at, key) priority order, parallel execution is byte-identical
-// to serial (docs/PERF.md has the full argument; tests/determinism_test.cpp
-// and tests/parallel_determinism_test.cpp are the oracle).
-// RDMASEM_EPOCH_LEGACY=1 selects the original global-epoch protocol
-// (main-thread merges, gen/arrived spin barrier) for differential testing.
+// aligned to leaves). That bound only OPENS a round: every round is
+// demand-driven, widening past it from the peers' published clocks while
+// cross-shard events flow through per-(src,dst) SPSC channels pulled
+// mid-round; the sense-reversing barrier between rounds drains leftovers
+// and detects termination. Because merge order is absorbed by the
+// (at, key) priority order, parallel execution is byte-identical to
+// serial (docs/PERF.md has the full argument; the serial engine is the
+// oracle in tests/parallel_determinism_test.cpp and tests/horizon_test.cpp).
 //
 // The default is one lane on one shard — the classic single-threaded
 // engine, with no threads and no barriers on the hot path.
@@ -220,28 +219,6 @@ class Engine {
   Duration shard_reach(std::uint32_t src, std::uint32_t dst) const {
     return shard_reach_[static_cast<std::size_t>(src) * nshards_ + dst];
   }
-  // Epoch-protocol selector: true = the original global-epoch protocol
-  // (gen/arrived spin barrier, main-thread merges). The constructor seeds
-  // it from RDMASEM_EPOCH_LEGACY; flip only while the engine is idle.
-  void set_epoch_legacy(bool on) { epoch_legacy_ = on; }
-  bool epoch_legacy() const { return epoch_legacy_; }
-  // Horizon selector for the SPMD protocol: true = the PR 9 static
-  // per-epoch CMB bound (no live clock publication, no mid-epoch channel
-  // delivery, no horizon extension) as the differential oracle for the
-  // demand-driven bound — mirroring RDMASEM_EPOCH_LEGACY. The constructor
-  // seeds it from RDMASEM_HORIZON_LEGACY; flip only while the engine is
-  // idle. Output is byte-identical either way at every shard count.
-  void set_horizon_legacy(bool on) { horizon_legacy_ = on; }
-  bool horizon_legacy() const { return horizon_legacy_; }
-  // Virtual-time granularity of live clock publication during a
-  // demand-driven round: a shard republishes its clock when it has
-  // advanced this far past the last publication. 0 = auto (half the
-  // global lookahead floor at run entry). Clusters install half the
-  // fabric base latency — frequent enough that peers' bounds track the
-  // sender within one hop, rare enough to keep the store off most
-  // dispatches. RDMASEM_HORIZON_QUANTUM overrides (ps).
-  void set_horizon_quantum(Duration d) { horizon_quantum_ = d; }
-  Duration horizon_quantum() const { return horizon_quantum_; }
 
   // --- scheduling ----------------------------------------------------------
 
@@ -337,12 +314,6 @@ class Engine {
     detail::t_exec.lane = lane;
     return true;
   }
-  // Master switch, read at run()/run_until() entry (set it while the
-  // engine is not running). Off: every suspension goes through the event
-  // queue, byte-identical to the fast path (the legacy anchor for the
-  // selfbench speedup ratio and the determinism toggle tests).
-  void set_inline_wakeups(bool on) { inline_wakeups_ = on; }
-  bool inline_wakeups() const { return inline_wakeups_; }
 
   // --- engine profiling (Plane 2) ------------------------------------------
 
@@ -375,14 +346,13 @@ class Engine {
 
  private:
   // SPSC channel carrying cross-shard events from one fixed producer
-  // shard to one fixed consumer shard under the demand-driven horizon.
-  // The producer writes a slot then release-stores `tail`; the consumer
-  // acquire-loads `tail` and drains [head, tail). Unlike the legacy
-  // outbox vectors (stable only while producers are parked at the
-  // barrier), a channel may be pulled MID-EPOCH: delivery timing cannot
-  // affect output because every pulled event provably lands in the
-  // consumer's future (see refresh_horizon) and the (at, seq) queue
-  // order absorbs arrival order. A full ring falls back to the
+  // shard to one fixed consumer shard. The producer writes a slot then
+  // release-stores `tail`; the consumer acquire-loads `tail` and drains
+  // [head, tail). Unlike the spill outbox rows (stable only while
+  // producers are parked at the barrier), a channel may be pulled
+  // MID-ROUND: delivery timing cannot affect output because every pulled
+  // event provably lands in the consumer's future (see refresh_horizon)
+  // and the (at, seq) queue order absorbs arrival order. A full ring falls back to the
   // barrier-drained outbox row plus a publication freeze (see
   // push_event), so the producer never blocks on a parked consumer.
   struct alignas(64) EventChannel {
@@ -401,14 +371,13 @@ class Engine {
     Time now = 0;
     std::uint64_t processed = 0;
     DetachedRegistry detached;
-    // --- epoch bookkeeping. outbox rows are written by the owner during
-    // its epoch and drained by the DESTINATION worker while the owner is
-    // parked at the barrier (legacy protocol: by the main thread).
+    // --- round bookkeeping. outbox rows (the ring-spill route) are
+    // written by the owner during its round and drained by the
+    // DESTINATION worker while the owner is parked at the barrier.
     // epoch_ends is the owner's private copy of the per-destination
-    // conservative bound: epoch_ends[d] is the earliest timestamp a
-    // cross-shard event pushed to shard d may carry this epoch (every
-    // thread computes identical values from the published next-times;
-    // under the legacy protocol the main thread writes them all).
+    // static bound: epoch_ends[d] is the earliest timestamp a cross-shard
+    // event pushed to shard d may carry this round (every thread computes
+    // identical values from the published next-times).
     std::vector<std::vector<Event>> outbox;
     std::vector<Time> epoch_ends;
     // --- demand-driven horizon state (owner-private). chan[d] is this
@@ -416,41 +385,32 @@ class Engine {
     // at which the owner next republishes its clock (quantum-gated);
     // pub_freeze caps every publication once an event spilled past a full
     // ring (spilled events are invisible until the barrier, so peers must
-    // not run past spill-time + lookahead). The win_* ring is the
-    // sliding window of realized events-per-round that decides whether
-    // the next round engages the demand-driven machinery at all.
+    // not run past spill-time + lookahead).
     std::unique_ptr<EventChannel[]> chan;
     Time pub_mark = 0;
     Time pub_freeze = ~Time{0};
-    bool publishing = false;
-    std::uint64_t win_events[8] = {};
-    std::uint64_t win_sum = 0;
-    std::uint32_t win_pos = 0;
-    std::uint32_t win_count = 0;
-    std::uint64_t round_base = 0;  // processed count at the round's start
     // --- publication slot: this shard's post-merge next event time,
     // written by the owner before the epoch barrier and read by every
     // thread after it — and by NOBODY during the round, so all shards'
     // step-3 static bounds are computed from one consistent snapshot.
     // Own line: it is the hot cross-thread word.
     alignas(64) std::atomic<Time> next_time{0};
-    // --- live clock (demand-driven rounds): a monotone lower bound on
-    // this shard's next dispatch time — and hence, plus the per-pair
-    // lookahead, on the arrival time of every event it may still send or
-    // RELAY this round. Separate from next_time on purpose: mid-round
-    // stores here cannot race another shard's static-bound computation.
-    // Values, in round order: sh.now (published at the pre-barrier reset
-    // — an engaged shard may relay mid-round pulls, so unlike a static
-    // shard it may never claim the kNoDeadline "sends nothing" clock);
-    // min(own next, static bound) at run entry; at each dispatch the
+    // --- live clock: a monotone lower bound on this shard's next
+    // dispatch time — and hence, plus the per-pair lookahead, on the
+    // arrival time of every event it may still send or RELAY this round.
+    // Separate from next_time on purpose: mid-round stores here cannot
+    // race another shard's static-bound computation. Values, in round
+    // order: sh.now (published at the pre-barrier reset — a drained shard
+    // may still relay mid-round pulls, so it never claims a "sends
+    // nothing" clock); min(own next, static bound) at run entry; at each
+    // dispatch the
     // event's timestamp (quantum-gated); while stalled, the shard's
     // current bound. Readers acquire it BEFORE pulling the publisher's
     // channel, so anything not yet visible in the ring provably carries
     // at >= clock + lookahead (see refresh_horizon).
     alignas(64) std::atomic<Time> live_clock{0};
-    // --- host-time profiling accumulator (Plane 2), own line. Written by
-    // the owning thread, except merge_ns/merged_events/lookahead_ps which
-    // the LEGACY protocol's main thread writes while workers are parked.
+    // --- host-time profiling accumulator (Plane 2), own line. Written
+    // only by the owning thread.
     alignas(64) ShardProfile prof;
     // processed-count anchor of the current profiling window.
     std::uint64_t prof_events_base = 0;
@@ -515,12 +475,8 @@ class Engine {
                                              nshards_ +
                                          dst],
             "cross-shard event undercuts the per-pair lookahead");
-        if (epoch_legacy_ || horizon_legacy_) {
-          sh.outbox[dst].push_back(std::move(ev));
-          return;
-        }
-        // Demand-driven rounds route through the SPSC channel so the
-        // destination can pull mid-epoch. Ring full: spill to the
+        // Route through the SPSC channel so the destination can pull
+        // mid-round. Ring full: spill to the
         // barrier-drained outbox row and freeze this shard's published
         // clock at its current position — spilled events are invisible
         // until the next barrier, so peers must not extend past
@@ -533,6 +489,7 @@ class Engine {
           ch.tail.store(t + 1, std::memory_order_release);
         } else {
           if (sh.pub_freeze > sh.now) sh.pub_freeze = sh.now;
+          ++sh.prof.spilled_events;
           sh.outbox[dst].push_back(std::move(ev));
         }
         return;
@@ -542,9 +499,7 @@ class Engine {
   }
 
   void dispatch(Shard& sh, std::uint32_t shard_idx, Event& ev);
-  // Runs one shard's events with at < end (the shard's epoch horizon).
-  void run_shard_epoch(std::uint32_t shard_idx, Time end);
-  // Demand-driven run phase of one barrier round: dispatches below the
+  // Run phase of one barrier round: dispatches below the
   // static bound `end`, then repeatedly refreshes a LIVE bound from the
   // peers' published clocks (pulling channel traffic as it lands) and
   // keeps running as long as the bound widens or deliveries arrive —
@@ -558,12 +513,8 @@ class Engine {
   // Drains one channel into `dst`'s queue (consumer side).
   void channel_pull(Shard& dst, EventChannel& ch);
   // The conservative-epoch driver; `deadline` = kNoDeadline for run().
-  // Returns true if events remain past the deadline. Dispatches to the
-  // sense-reversing SPMD protocol or, under RDMASEM_EPOCH_LEGACY, the
-  // original global-epoch one.
+  // Returns true if events remain past the deadline.
   bool run_parallel(Time deadline);
-  bool run_parallel_epochs(Time deadline);
-  bool run_parallel_legacy(Time deadline);
   // One thread's whole run under the SPMD protocol (the main thread runs
   // it for shard 0).
   void epoch_loop(std::uint32_t shard_idx, Time deadline,
@@ -575,10 +526,14 @@ class Engine {
   void barrier_wait(std::uint64_t& phase, ShardProfile* prof);
   // Recomputes shard_lat_ from lane placement and group latencies.
   void rebuild_shard_lookahead();
-  void worker_main(std::uint32_t shard_idx, std::uint64_t base_gen);
-  void merge_outboxes();
 
   static constexpr Time kNoDeadline = ~Time{0};
+  // Consecutive non-dispatching iterations a round's run phase may spend
+  // polling the peers' clocks before it gives up and re-splits at the
+  // barrier. Large enough to fuse across a slow peer's dispatch burst,
+  // small enough that an all-drained engine reaches the barrier (the only
+  // place global termination is detected) within microseconds.
+  static constexpr std::uint64_t kPollBudget = 512;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::uint64_t> lane_seq_;
@@ -602,31 +557,18 @@ class Engine {
   // accumulate in `arrived`; the last arriver resets the count and bumps
   // `phase` (the sense), releasing the spinners. The two words live on
   // separate cache lines so spinning on the sense never contends with
-  // arrivals (satellite: the legacy gen_/arrived_/stop_ words below get
-  // the same padding).
+  // arrivals.
   struct alignas(64) EpochBarrier {
     std::atomic<std::uint32_t> arrived{0};
     alignas(64) std::atomic<std::uint64_t> phase{0};
   };
   EpochBarrier barrier_;
 
-  // Legacy-protocol state (RDMASEM_EPOCH_LEGACY). epoch_end_ / stop_ are
-  // written by the main thread only while the workers are parked at the
-  // barrier (publication happens through gen_'s release/acquire pair).
-  // Each spun-on atomic gets its own cache line.
-  alignas(64) std::atomic<std::uint64_t> gen_{0};
-  alignas(64) std::atomic<std::uint32_t> arrived_{0};
-  alignas(64) Time epoch_end_ = 0;
-  bool stop_ = false;
   bool parallel_running_ = false;
-  bool inline_wakeups_ = true;
-  bool epoch_legacy_ = false;
-  // Demand-driven horizon knobs (see the public setters / engine.cpp).
-  bool horizon_legacy_ = false;
-  Duration horizon_quantum_ = 0;       // 0 = auto at run entry
-  Duration pub_quantum_ = 1;           // resolved per parallel run
-  std::uint64_t horizon_poll_budget_ = 512;
-  std::uint64_t horizon_fuse_events_ = 4096;
+  // Virtual-time granularity of live clock publication, resolved at
+  // parallel-run entry to half the global lookahead floor (see
+  // run_parallel).
+  Duration pub_quantum_ = 1;
   // Plane-2 profiling (RDMASEM_PROF). Written only while the engine is
   // not running; worker threads read it after being spawned.
   bool prof_ = false;

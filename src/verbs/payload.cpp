@@ -3,7 +3,6 @@
 #include <new>
 
 #include "hw/params.hpp"
-#include "util/env.hpp"
 
 // Pass staging buffers straight through to the global allocator under
 // ASan so the sanitizer tracks every buffer lifetime (poisoning would be
@@ -25,16 +24,6 @@ namespace rdmasem::verbs {
 // touching the allocator, so the in-frame arm tracks the NIC default.
 static_assert(PayloadBuf::kInlineBytes == hw::kMaxInlineDefault,
               "PayloadBuf inline arm must match the NIC inline ceiling");
-
-DatapathTuning& datapath_tuning() {
-  static DatapathTuning t = [] {
-    DatapathTuning d;
-    if (util::env_bool("RDMASEM_DATAPATH_LEGACY", false))
-      d = DatapathTuning{false, false, false};
-    return d;
-  }();
-  return t;
-}
 
 namespace {
 
@@ -118,13 +107,13 @@ PayloadPool::Stats PayloadPool::stats() { return arena().stats; }
 
 void PayloadPool::trim() noexcept { arena().release_all(); }
 
-std::byte* PayloadBuf::stage(std::size_t n, bool pool) {
+std::byte* PayloadBuf::stage(std::size_t n) {
   reset();
   bytes_ = n;
   if (n <= kInlineBytes) {
     route_ = Route::kInline;
     buf_ = inline_;
-  } else if (pool && class_of(n) < PayloadPool::kClasses) {
+  } else if (class_of(n) < PayloadPool::kClasses) {
     route_ = Route::kPooled;
     buf_ = PayloadPool::acquire(n);
   } else {

@@ -5,32 +5,6 @@
 
 namespace rdmasem::verbs {
 
-// Datapath tuning knobs. All three are pure host-side optimisations of the
-// simulator's own datapath: toggling them MUST NOT change any simulated
-// timestamp, statistic or payload byte (the determinism suite flips each
-// one and compares runs). They exist so benchmarks can measure the fast
-// path against the legacy path in-process, and so a misbehaving
-// optimisation can be ruled out in the field without a rebuild
-// (RDMASEM_DATAPATH_LEGACY=1).
-struct DatapathTuning {
-  // Single-SGE WRITE/SEND payloads ride as a borrowed pointer into the
-  // source MemoryRegion instead of being copied into the staging buffer;
-  // the only memcpy is the landing into the destination MR.
-  bool zero_copy = true;
-  // Staged payloads (multi-SGE, READ snapshots, loopback) come from the
-  // size-classed PayloadPool instead of a per-WR heap allocation.
-  bool payload_pool = true;
-  // Fixed-latency chains with no semantic interleaving point between them
-  // (DMA service + NUMA penalty + PCIe completion latency) collapse into
-  // one suspension. Timestamps are identical; only the suspension count
-  // drops.
-  bool fused_costs = true;
-};
-
-// Process-wide knobs, initialised from RDMASEM_DATAPATH_LEGACY (all three
-// off when set). Mutate only while no simulation is running.
-DatapathTuning& datapath_tuning();
-
 // PayloadPool — size-classed free lists for WR payload staging buffers,
 // the FramePool pattern applied to data bytes. The per-WR pipeline stages
 // at most one payload per work request; payload sizes repeat heavily
@@ -75,8 +49,8 @@ class PayloadPool {
 //                 (zero-copy single-SGE WRITE/SEND);
 //   * inline    — payloads up to kInlineBytes live in the frame itself
 //                 (mirrors the RNIC's max_inline arm);
-//   * staged    — PayloadPool buffer, or plain heap when the pool is off
-//                 or the payload exceeds the pooled range.
+//   * staged    — PayloadPool buffer, or plain heap when the payload
+//                 exceeds the pooled range.
 //
 // Staging is a simulation artifact: it models no hardware buffer and has
 // zero timing cost (docs/MODEL.md).
@@ -106,17 +80,17 @@ class PayloadBuf {
   }
 
   // Provisions `n` writable bytes (previous contents discarded) and
-  // returns the staging cursor. `pool` routes pool-classed sizes through
-  // PayloadPool; otherwise (and for oversize payloads) plain heap.
-  std::byte* stage(std::size_t n, bool pool);
+  // returns the staging cursor. Pool-classed sizes come from PayloadPool,
+  // oversize payloads from plain heap.
+  std::byte* stage(std::size_t n);
 
   const std::byte* data() const {
     return route_ == Route::kBorrowed ? view_ : buf_;
   }
   Route route() const { return route_; }
   // Whether this staging route is pool-accelerated (inline arm or pooled
-  // size class) — a pure predicate of (size, pool flag), deterministic
-  // across shard placements, which is what the obs counters require.
+  // size class) — a pure predicate of the size, deterministic across
+  // shard placements, which is what the obs counters require.
   bool pool_hit() const { return route_ == Route::kInline || route_ == Route::kPooled; }
 
   void reset() noexcept;

@@ -420,12 +420,6 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   auto& lport = lr.port(cfg_.port);
   if (wr.posted_at == 0) wr.posted_at = eng.now();
 
-  // Host-side datapath knobs, snapshotted per WR (the struct is mutable
-  // between runs; a WR must see one consistent view across lanes).
-  // Toggling any knob changes no simulated time or byte — only how the
-  // simulator itself stages payloads and suspends (docs/PERF.md).
-  const DatapathTuning tune = datapath_tuning();
-
   // Lifecycle tracing: stamps read the clock and append to a buffer,
   // never schedule or delay anything, so `traced` on/off cannot change
   // the simulated timeline (obs zero-cost contract).
@@ -555,7 +549,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
     const sim::Time t0 = eng.now();
     const sim::Grant g_dma = co_await lr.dma().use(P.pcie_time(total));
     attr_use(lr.dma(), t0, g_dma);
-    if (tune.fused_costs && wr.sg_list.size() == 1) {
+    if (wr.sg_list.size() == 1) {
       // Single-SGE fast path: the channel service and the NUMA penalty
       // form a fixed chain with no interleaving point — one suspension.
       const MemoryRegion* mr = ctx_.lookup(wr.sg_list[0].lkey);
@@ -639,7 +633,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   PayloadBuf payload;
   if (carries_payload) {
     const bool zc_eligible =
-        tune.zero_copy && (tp == Transport::kRC || tp == Transport::kDc) &&
+        (tp == Transport::kRC || tp == Transport::kDc) &&
         wr.sg_list.size() == 1 && lm.id() != rm.id();
     if (zc_eligible) hub.zero_copy_wrs.inc();
     if (zc_eligible && eng.shard_of(static_cast<std::uint32_t>(lm.id()) + 1) ==
@@ -647,7 +641,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
       payload.borrow(ctx_.lookup(wr.sg_list[0].lkey)->at(wr.sg_list[0].addr));
     } else {
       gather_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(),
-                  payload.stage(total, tune.payload_pool));
+                  payload.stage(total));
       if (!zc_eligible)
         (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
             .inc();
@@ -716,22 +710,13 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
                      hw::DramModel::Op::kWrite, same);
         const sim::Duration pen = rm.topo().dma_mem_penalty(rps, rmr->socket);
         const sim::Time t_m = eng.now();
-        if (tune.fused_costs) {
-          // Channel service + NUMA penalty + PCIe completion latency is a
-          // fixed chain — nothing can semantically interleave, so it is
-          // one suspension on the fast path.
-          const sim::Grant g_m =
-              co_await rm.mem_channel(rmr->socket)
-                  .use_then(m, pen + P.pcie_dma_write_latency);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        } else {
-          const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-          const sim::Time t_p = eng.now();
-          if (pen) co_await sim::delay(eng, pen);
-          co_await sim::delay(eng, P.pcie_dma_write_latency);
-          attr_lat(t_p);
-        }
+        // Channel service + NUMA penalty + PCIe completion latency is a
+        // fixed chain — nothing can semantically interleave, so it is one
+        // suspension.
+        const sim::Grant g_m =
+            co_await rm.mem_channel(rmr->socket)
+                .use_then(m, pen + P.pcie_dma_write_latency);
+        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
         // The data actually moves: staged (or borrowed) payload lands in
         // the remote MR, here on its owner's lane.
         std::memcpy(rmr->at(wr.remote_addr), payload.data(), total);
@@ -780,24 +765,15 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
                      hw::DramModel::Op::kRead, same);
         const sim::Duration pen = rm.topo().dma_mem_penalty(rps, rmr->socket);
         const sim::Time t_m = eng.now();
-        if (tune.fused_costs) {
-          const sim::Grant g_m =
-              co_await rm.mem_channel(rmr->socket)
-                  .use_then(m, pen + P.pcie_dma_read_latency);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        } else {
-          const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-          const sim::Time t_p = eng.now();
-          if (pen) co_await sim::delay(eng, pen);
-          co_await sim::delay(eng, P.pcie_dma_read_latency);
-          attr_lat(t_p);
-        }
+        const sim::Grant g_m =
+            co_await rm.mem_channel(rmr->socket)
+                .use_then(m, pen + P.pcie_dma_read_latency);
+        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
         // Snapshot the remote bytes into the frame while still on their
         // owner's lane; the response leg carries them home. READs always
         // stage (never borrow): the source may mutate between here and
         // the landing, and a borrowed view would race across shards.
-        std::memcpy(payload.stage(total, tune.payload_pool),
+        std::memcpy(payload.stage(total),
                     rmr->at(wr.remote_addr), total);
         (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
             .inc();
@@ -821,7 +797,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         const sim::Time t_land = eng.now();
         const sim::Grant g_ld = co_await lr.dma().use(P.pcie_time(total));
         attr_use(lr.dma(), t_land, g_ld);
-        if (tune.fused_costs && wr.sg_list.size() == 1) {
+        if (wr.sg_list.size() == 1) {
           const MemoryRegion* mr = ctx_.lookup(wr.sg_list[0].lkey);
           const bool same = (lps == mr->socket);
           const sim::Duration m =
@@ -847,14 +823,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
             numa_pen =
                 std::max(numa_pen, lm.topo().dma_mem_penalty(lps, mr->socket));
           }
+          // Two trailing pure delays merge into one suspension.
           const sim::Time t_p = eng.now();
-          if (tune.fused_costs) {
-            // Two trailing pure delays; merge into one suspension.
-            co_await sim::delay(eng, numa_pen + P.pcie_dma_write_latency);
-          } else {
-            if (numa_pen) co_await sim::delay(eng, numa_pen);
-            co_await sim::delay(eng, P.pcie_dma_write_latency);
-          }
+          co_await sim::delay(eng, numa_pen + P.pcie_dma_write_latency);
           attr_lat(t_p);
         }
         scatter_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(),
@@ -910,18 +881,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         co_return;
       }
       const sim::Time t_lrx = eng.now();
-      if (tune.fused_costs) {
-        const sim::Grant g_lrx =
-            co_await lport.rx.use_then(P.rnic_rx_proc,
-                                       P.pcie_dma_write_latency);
-        attr_use(lport.rx, t_lrx, g_lrx);
-      } else {
-        const sim::Grant g_lrx = co_await lport.rx.use(P.rnic_rx_proc);
-        attr_use(lport.rx, t_lrx, g_lrx);
-        const sim::Time t_p = eng.now();
-        co_await sim::delay(eng, P.pcie_dma_write_latency);
-        attr_lat(t_p);
-      }
+      const sim::Grant g_lrx = co_await lport.rx.use_then(
+          P.rnic_rx_proc, P.pcie_dma_write_latency);
+      attr_use(lport.rx, t_lrx, g_lrx);
       if (traced) stamp(obs::Stage::kResponse, t_resp);
       MemoryRegion* lmr = ctx_.lookup(wr.sg_list[0].lkey);
       std::memcpy(lmr->at(wr.sg_list[0].addr), &old, 8);
@@ -995,18 +957,9 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
         const sim::Duration m = mem_cost(rm, rmr->socket, rq.sge.addr, total,
                                          hw::DramModel::Op::kWrite, same);
         const sim::Time t_m = eng.now();
-        if (tune.fused_costs) {
-          const sim::Grant g_m =
-              co_await rm.mem_channel(rmr->socket)
-                  .use_then(m, P.pcie_dma_write_latency);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        } else {
-          const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-          attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-          const sim::Time t_p = eng.now();
-          co_await sim::delay(eng, P.pcie_dma_write_latency);
-          attr_lat(t_p);
-        }
+        const sim::Grant g_m = co_await rm.mem_channel(rmr->socket)
+                                   .use_then(m, P.pcie_dma_write_latency);
+        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
         // The RECV consume is the same scatter primitive as a READ
         // landing: one SGE, capped at the arriving message size.
         scatter_sges(peer->ctx_, &rq.sge, 1, payload.data(), total);

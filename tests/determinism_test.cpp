@@ -15,7 +15,6 @@
 #include "cluster/stats.hpp"
 #include "fault/fault.hpp"
 #include "testbed.hpp"
-#include "verbs/payload.hpp"
 #include "wl/microbench.hpp"
 
 namespace v = rdmasem::verbs;
@@ -32,23 +31,12 @@ struct RunOutput {
   std::string stats;        // StatsReport::render()
   std::string trace;        // Tracer::chrome_json()
   std::string rest;         // every other scalar, stringified
-  std::uint64_t events = 0; // engine events_processed — kept out of `rest`
-                            // so the cost-fusing toggle (which legitimately
-                            // changes the suspension count) can still
-                            // assert full byte-identity of everything else
-};
-
-// Scoped override of the process-wide datapath tuning knobs.
-struct TuningOverride {
-  v::DatapathTuning saved = v::datapath_tuning();
-  explicit TuningOverride(v::DatapathTuning t) { v::datapath_tuning() = t; }
-  ~TuningOverride() { v::datapath_tuning() = saved; }
+  std::uint64_t events = 0; // engine events_processed
 };
 
 // Closed-loop write/read mix under a seed-derived chaos plan, tracing on.
-RunOutput microbench_run(std::uint64_t seed, bool inline_wakeups = true) {
+RunOutput microbench_run(std::uint64_t seed) {
   Testbed tb;
-  if (!inline_wakeups) tb.eng.set_inline_wakeups(false);
   tb.cluster.obs().tracer.set_enabled(true);
 
   sim::Rng plan_rng(seed * 2654435761u + 17);
@@ -142,60 +130,4 @@ TEST(SeedSweep, SeedsActuallyDiffer) {
   const RunOutput a = microbench_run(1);
   const RunOutput b = microbench_run(2);
   EXPECT_NE(a.rest, b.rest);
-}
-
-// --- datapath tuning toggles ------------------------------------------------
-//
-// The verbs datapath optimisations (verbs/payload.hpp) are host-side only:
-// each knob flipped off must reproduce the default run's observable output
-// byte for byte. zero_copy and payload_pool change only how payload bytes
-// are carried between the gather and the landing, so even the event count
-// matches; fused_costs collapses fixed-latency chains into fewer
-// suspensions, so it changes events_processed and nothing else.
-
-TEST(DatapathToggles, ZeroCopyOffIsByteIdentical) {
-  const RunOutput fast = microbench_run(3);
-  v::DatapathTuning t;
-  t.zero_copy = false;
-  TuningOverride o(t);
-  const RunOutput staged = microbench_run(3);
-  EXPECT_EQ(staged.stats, fast.stats);
-  EXPECT_EQ(staged.trace, fast.trace);
-  EXPECT_EQ(staged.rest, fast.rest);
-  EXPECT_EQ(staged.events, fast.events);
-}
-
-TEST(DatapathToggles, PayloadPoolOffIsByteIdentical) {
-  const RunOutput pooled = microbench_run(4);
-  v::DatapathTuning t;
-  t.payload_pool = false;
-  TuningOverride o(t);
-  const RunOutput heap = microbench_run(4);
-  EXPECT_EQ(heap.stats, pooled.stats);
-  EXPECT_EQ(heap.trace, pooled.trace);
-  EXPECT_EQ(heap.rest, pooled.rest);
-  EXPECT_EQ(heap.events, pooled.events);
-}
-
-TEST(DatapathToggles, FullLegacyDatapathKeepsAllTimesAndStats) {
-  const RunOutput fast = microbench_run(5);
-  TuningOverride o(v::DatapathTuning{false, false, false});
-  const RunOutput legacy = microbench_run(5);
-  EXPECT_EQ(legacy.stats, fast.stats);
-  EXPECT_EQ(legacy.trace, fast.trace);
-  EXPECT_EQ(legacy.rest, fast.rest);
-  // Unfused chains suspend more often; that is the ONLY thing that may
-  // differ, and it must differ (otherwise fusing isn't happening).
-  EXPECT_GT(legacy.events, fast.events);
-}
-
-TEST(DatapathToggles, InlineWakeupElisionIsByteIdentical) {
-  // Elided resource grants / delays still count as processed events, so
-  // the engine fast path is invisible even to the event counter.
-  const RunOutput fast = microbench_run(6);
-  const RunOutput queued = microbench_run(6, /*inline_wakeups=*/false);
-  EXPECT_EQ(queued.stats, fast.stats);
-  EXPECT_EQ(queued.trace, fast.trace);
-  EXPECT_EQ(queued.rest, fast.rest);
-  EXPECT_EQ(queued.events, fast.events);
 }

@@ -1,7 +1,7 @@
 // Per-(src,dst) lookahead matrix: the topology-aware conservative-epoch
 // machinery at the raw engine level. Covers the read-back accessors, the
 // affinity-aware placement, boundary-exact cross-group hops, asymmetric
-// latency matrices, single-lane shards, both epoch protocols, and a
+// latency matrices, single-lane shards, drained peers, and a
 // 10-seed fuzz of random topologies asserting the shard matrix never
 // exceeds the true minimum cross-shard lane latency (the safety bound of
 // the CMB horizon end(d) = min over s of next(s) + shard_reach(s, d),
@@ -38,11 +38,9 @@ sim::LaneTopology two_leaf_topo(sim::Duration intra, sim::Duration out,
 // count, so any ordering or horizon bug shows up as a different vector.
 std::vector<std::uint64_t> walk_run(std::uint32_t lanes, std::uint32_t shards,
                                     sim::LaneTopology topo,
-                                    const std::vector<std::uint32_t>& walk,
-                                    bool legacy = false) {
+                                    const std::vector<std::uint32_t>& walk) {
   sim::Engine eng;
   eng.configure_lanes(lanes, shards, std::move(topo));
-  eng.set_epoch_legacy(legacy);
   std::vector<std::uint64_t> log;
   auto task = [](sim::Engine& e, const std::vector<std::uint32_t>& w,
                  std::vector<std::uint64_t>& lg) -> sim::Task {
@@ -116,17 +114,14 @@ TEST(EpochTopology, UniformTopologyCollapsesToGlobalLookahead) {
 TEST(EpochTopology, BoundaryExactAsymmetricPingPongMatchesSerial) {
   // Cross-group ping-pong where each direction pays a DIFFERENT exact
   // lookahead (500 out, 700 back) — boundary-exact events under an
-  // asymmetric matrix, in both epoch protocols.
+  // asymmetric matrix.
   const auto topo = [] {
     return two_leaf_topo(sim::ns(200), sim::ns(500), sim::ns(700));
   };
   const auto walk = pingpong_walk(1, 2, 32);
   const auto serial = walk_run(4, 1, topo(), walk);
-  for (const std::uint32_t s : {2u, 3u, 4u}) {
+  for (const std::uint32_t s : {2u, 3u, 4u})
     EXPECT_EQ(walk_run(4, s, topo(), walk), serial) << "shards=" << s;
-    EXPECT_EQ(walk_run(4, s, topo(), walk, /*legacy=*/true), serial)
-        << "legacy shards=" << s;
-  }
 }
 
 TEST(EpochTopology, SingleLaneShardsMatchSerial) {
@@ -141,21 +136,17 @@ TEST(EpochTopology, SingleLaneShardsMatchSerial) {
   for (int i = 0; i < 24; ++i) walk.push_back((walk.back() + 1) % 4);
   const auto serial = walk_run(4, 1, topo(), walk);
   EXPECT_EQ(walk_run(4, 4, topo(), walk), serial);
-  EXPECT_EQ(walk_run(4, 4, topo(), walk, /*legacy=*/true), serial);
 }
 
-TEST(EpochTopology, LegacyProtocolMatchesNewOnUniformTopology) {
+TEST(EpochTopology, UniformTopologyPingPongMatchesSerial) {
   sim::LaneTopology flat;
   flat.groups = 1;
   flat.lane_group = {0, 0, 0};
   flat.group_latency = {sim::ns(200)};
   const auto walk = pingpong_walk(1, 2, 40);
   const auto serial = walk_run(3, 1, flat, walk);
-  for (const std::uint32_t s : {2u, 3u}) {
+  for (const std::uint32_t s : {2u, 3u})
     EXPECT_EQ(walk_run(3, s, flat, walk), serial) << "shards=" << s;
-    EXPECT_EQ(walk_run(3, s, flat, walk, /*legacy=*/true), serial)
-        << "legacy shards=" << s;
-  }
 }
 
 TEST(EpochTopology, ShardReachClosesOverChainsAndRoundTrips) {
@@ -201,15 +192,13 @@ namespace {
 // ignores empty peers would let shard(1) run unbounded past its own
 // sends' round trip; lane 2's replies would then land in shard(1)'s
 // virtual past and the digest would diverge from serial.
-std::vector<std::uint64_t> drained_peer_run(std::uint32_t shards,
-                                            bool legacy) {
+std::vector<std::uint64_t> drained_peer_run(std::uint32_t shards) {
   sim::Engine eng;
   sim::LaneTopology flat;
   flat.groups = 1;
   flat.lane_group = {0, 0, 0};
   flat.group_latency = {sim::ns(200)};
   eng.configure_lanes(3, shards, flat);
-  eng.set_epoch_legacy(legacy);
   // One log per coroutine: the two tasks run on different shards, so a
   // shared log's interleaving would vary with placement (and race).
   // Each coroutine's own sequence of observed clocks is the oracle.
@@ -244,11 +233,9 @@ std::vector<std::uint64_t> drained_peer_run(std::uint32_t shards,
 }  // namespace
 
 TEST(EpochTopology, DrainedPeerDoesNotUnboundTheEpoch) {
-  const auto serial = drained_peer_run(1, false);
-  for (const std::uint32_t s : {2u, 3u}) {
-    EXPECT_EQ(drained_peer_run(s, false), serial) << "shards=" << s;
-    EXPECT_EQ(drained_peer_run(s, true), serial) << "legacy shards=" << s;
-  }
+  const auto serial = drained_peer_run(1);
+  for (const std::uint32_t s : {2u, 3u})
+    EXPECT_EQ(drained_peer_run(s), serial) << "shards=" << s;
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +282,7 @@ TEST(EpochFuzz, RandomTopologyMatrixBoundedByTrueMinCrossShardLatency) {
 
 TEST(EpochFuzz, RandomTopologyWalksMatchSerial) {
   // Random topology + random lane walk at exact per-pair lookaheads; the
-  // digest must be byte-identical at every shard count and protocol.
+  // digest must be byte-identical at every shard count.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     sim::Rng rng(seed * 104729 + 7);
     const auto lanes = static_cast<std::uint32_t>(3 + rng.uniform(6));
@@ -314,11 +301,8 @@ TEST(EpochFuzz, RandomTopologyWalksMatchSerial) {
       walk.push_back(static_cast<std::uint32_t>(rng.uniform(lanes)));
 
     const auto serial = walk_run(lanes, 1, topo, walk);
-    for (std::uint32_t s = 2; s <= std::min(lanes, 4u); ++s) {
+    for (std::uint32_t s = 2; s <= std::min(lanes, 4u); ++s)
       EXPECT_EQ(walk_run(lanes, s, topo, walk), serial)
           << "seed=" << seed << " shards=" << s;
-      EXPECT_EQ(walk_run(lanes, s, topo, walk, /*legacy=*/true), serial)
-          << "seed=" << seed << " legacy shards=" << s;
-    }
   }
 }

@@ -1,19 +1,17 @@
-// Demand-driven horizons (the RDMASEM_HORIZON_LEGACY axis): quiescent
-// peers must drop out of the live bound and come back when traffic
-// resumes, fused rounds must re-split correctly when the poll budget
-// runs out or the delivery ring spills, and — the acceptance oracle —
-// output must be BYTE-IDENTICAL at every shard count whether the engine
-// runs the PR 9 static per-round CMB bound (RDMASEM_HORIZON_LEGACY=1)
-// or keeps widening it from the peers' live clocks. The digests fold
-// (lane, time) at every step plus the final clock and event count, so
-// any event delivered out of order or into a shard's past shows up as a
-// one-word diff.
+// Demand-driven horizons: drained peers must not pin the live bound and
+// must come back when traffic resumes, fused rounds must re-split
+// correctly when the poll budget runs out or the delivery ring spills,
+// and — the acceptance oracle — output must be BYTE-IDENTICAL to the
+// serial engine at every shard count. The digests fold (lane, time) at
+// every step plus the final clock and event count, so any event
+// delivered out of order or into a shard's past shows up as a one-word
+// diff.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -23,37 +21,14 @@ namespace sim = rdmasem::sim;
 
 namespace {
 
-// Pins one env var for a scope (the engine reads the RDMASEM_HORIZON_*
-// knobs at construction) and restores the previous value after.
-class EnvPin {
- public:
-  EnvPin(const char* name, const std::string& value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(name, value.c_str(), 1);
-  }
-  ~EnvPin() {
-    if (had_)
-      setenv(name_, saved_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 // One run's observables: the event-order digest plus the summed
 // demand-driven profile counters (host-race-dependent — asserted only as
-// "engaged at all", never for exact values).
+// "reached at all", never for exact values).
 struct RunResult {
   std::vector<std::uint64_t> log;
   std::uint64_t fused = 0;
   std::uint64_t resplit = 0;
-  std::uint64_t quiescent = 0;
+  std::uint64_t spilled = 0;
   std::uint64_t widening_ps = 0;
 };
 
@@ -61,7 +36,7 @@ void fold_profile(sim::Engine& eng, RunResult& r) {
   for (const sim::ShardProfile& s : eng.drain_profile().shard) {
     r.fused += s.fused_epochs;
     r.resplit += s.resplit_epochs;
-    r.quiescent += s.quiescent_terms;
+    r.spilled += s.spilled_events;
     r.widening_ps += s.horizon_widening_ps;
   }
 }
@@ -72,14 +47,14 @@ std::uint64_t stamp(const sim::Engine& e) {
 
 // --- workload 1: quiescent pair + reactivation -----------------------------
 //
-// Lane 2 (own shard at shards=3) burns a local burst in the first round
-// and then sits drained while lanes 0 and 1 ping-pong at exactly the
-// pair lookahead. Once lane 2's burst round leaves nothing behind, its
-// published clock is kNoDeadline and the ping-pong shards' refreshes
-// count it quiescent. The walk then visits lane 2 — the pair must
-// REACTIVATE: the visit and the reply land at exactly the serial times.
-RunResult quiescence_run(std::uint32_t shards, bool horizon_legacy) {
-  EnvPin hl("RDMASEM_HORIZON_LEGACY", horizon_legacy ? "1" : "0");
+// Lane 2 (own shard at shards=3) burns a local burst and then sits
+// drained while lanes 0 and 1 ping-pong at exactly the pair lookahead.
+// The drained shard publishes its refreshed bound, which chases the
+// active peers' clocks, so its term drops out of the binding set and the
+// ping-pong keeps fusing rounds. The walk then visits lane 2 — the pair
+// must REACTIVATE: the visit and the reply land at exactly the serial
+// times.
+RunResult quiescence_run(std::uint32_t shards) {
   sim::Engine eng;
   eng.configure_lanes(3, shards);
   eng.set_lookahead(sim::ns(100));
@@ -110,31 +85,22 @@ RunResult quiescence_run(std::uint32_t shards, bool horizon_legacy) {
 }
 
 TEST(Horizon, QuiescentPairDropsOutAndReactivates) {
-  // A small poll budget forces frequent re-splits, so the run crosses
-  // many barrier rounds and the drained shard is seen as a STATIC
-  // (high-realized-throughput) peer publishing kNoDeadline.
-  EnvPin budget("RDMASEM_HORIZON_POLL_BUDGET", "4");
-  const RunResult serial = quiescence_run(1, false);
-  for (const bool legacy : {false, true}) {
-    const RunResult par = quiescence_run(3, legacy);
-    EXPECT_EQ(par.log, serial.log) << "horizon_legacy=" << legacy;
-    if (!legacy) {
-      EXPECT_GT(par.quiescent, 0u)
-          << "drained peer never dropped out of the live bound";
-    } else {
-      EXPECT_EQ(par.fused + par.resplit + par.quiescent, 0u)
-          << "legacy horizon must not touch the demand-driven counters";
-    }
-  }
+  const RunResult serial = quiescence_run(1);
+  const RunResult par = quiescence_run(3);
+  EXPECT_EQ(par.log, serial.log);
+  EXPECT_GT(par.fused, 0u) << "drained peer pinned the live bound";
 }
 
 // --- workload 2: fine-grained ping-pong (the fusion target) ----------------
+//
+// Three lanes: at shards=2 the driver lane 0 and lane 1 share shard 0 and
+// lane 2 sits alone on shard 1, so every leg of the 0 <-> 2 walk crosses
+// shards.
 
-RunResult pingpong_run(std::uint32_t shards, bool horizon_legacy, int hops,
+RunResult pingpong_run(std::uint32_t shards, int hops,
                        sim::Duration far_event = 0) {
-  EnvPin hl("RDMASEM_HORIZON_LEGACY", horizon_legacy ? "1" : "0");
   sim::Engine eng;
-  eng.configure_lanes(2, shards);
+  eng.configure_lanes(3, shards);
   eng.set_lookahead(sim::ns(100));
   eng.set_profiling(true);
   RunResult r;
@@ -142,7 +108,7 @@ RunResult pingpong_run(std::uint32_t shards, bool horizon_legacy, int hops,
   auto walk = [](sim::Engine& e, int n,
                  std::vector<std::uint64_t>& lg) -> sim::Task {
     for (int i = 0; i < n; ++i) {
-      co_await sim::hop(e, i % 2 == 0 ? 1 : 0, sim::ns(100));
+      co_await sim::hop(e, i % 2 == 0 ? 2 : 0, sim::ns(100));
       lg.push_back(stamp(e));
     }
   };
@@ -154,46 +120,39 @@ RunResult pingpong_run(std::uint32_t shards, bool horizon_legacy, int hops,
   return r;
 }
 
-TEST(Horizon, FusedRoundsMatchLegacyAndSerial) {
-  const RunResult serial = pingpong_run(1, false, 300);
-  const RunResult demand = pingpong_run(2, false, 300);
-  const RunResult legacy = pingpong_run(2, true, 300);
+TEST(Horizon, FusedRoundsMatchSerial) {
+  const RunResult serial = pingpong_run(1, 300);
+  const RunResult demand = pingpong_run(2, 300);
   EXPECT_EQ(demand.log, serial.log);
-  EXPECT_EQ(legacy.log, serial.log);
   // The whole point of the demand-driven bound: a starving ping-pong
-  // fuses rounds, and every finite widening is accounted in virtual ps.
+  // fuses rounds, and every widening is accounted in virtual ps.
   EXPECT_GT(demand.fused, 0u);
   EXPECT_GT(demand.widening_ps, 0u);
-  EXPECT_EQ(legacy.fused, 0u);
 }
 
 TEST(Horizon, PollBudgetExhaustionResplitsWithPendingWork) {
-  // Budget 1 re-splits a round after a single idle poll. The far-future
-  // self event keeps shard 0's queue non-empty through every stall, so
-  // each exhausted budget counts a resplit — and the output must not
-  // move by a picosecond.
-  EnvPin budget("RDMASEM_HORIZON_POLL_BUDGET", "1");
-  const RunResult serial = pingpong_run(1, false, 100, sim::ms(10));
-  for (const bool legacy : {false, true}) {
-    const RunResult par = pingpong_run(2, legacy, 100, sim::ms(10));
-    EXPECT_EQ(par.log, serial.log) << "horizon_legacy=" << legacy;
-    if (!legacy) {
-      EXPECT_GT(par.resplit, 0u);
-    }
-  }
+  // The far-future self event keeps shard 0's queue non-empty once the
+  // walk is over. Each poll then widens the two shards' bounds by about
+  // one lookahead, so 10 ms lies far beyond what the poll budget can
+  // reach: the round can only end by exhausting the budget (or the stall
+  // cap) with work pending, which counts a resplit — and the output must
+  // not move by a picosecond.
+  const RunResult serial = pingpong_run(1, 100, sim::ms(10));
+  const RunResult par = pingpong_run(2, 100, sim::ms(10));
+  EXPECT_EQ(par.log, serial.log);
+  EXPECT_GT(par.resplit, 0u);
 }
 
 // --- workload 3: delivery-ring overflow ------------------------------------
 
-RunResult flood_run(std::uint32_t shards, bool horizon_legacy) {
-  EnvPin hl("RDMASEM_HORIZON_LEGACY", horizon_legacy ? "1" : "0");
+RunResult flood_run(std::uint32_t shards) {
   sim::Engine eng;
-  eng.configure_lanes(2, shards);
+  eng.configure_lanes(3, shards);  // lane 2 alone on shard 1 (see above)
   eng.set_lookahead(sim::ns(100));
   eng.set_profiling(true);
   RunResult r;
   auto one = [](sim::Engine& e, std::vector<std::uint64_t>& lg) -> sim::Task {
-    co_await sim::hop(e, 1, sim::ns(100));
+    co_await sim::hop(e, 2, sim::ns(100));
     lg.push_back(stamp(e));
   };
   // 600 same-timestamp cross-shard pushes in one round: far past the
@@ -202,6 +161,19 @@ RunResult flood_run(std::uint32_t shards, bool horizon_legacy) {
   // whole flood in the serial order regardless of which route each event
   // took.
   for (int i = 0; i < 600; ++i) eng.spawn_on(0, one(eng, r.log));
+  // Lane 2's only t = 0 event holds its shard inside a dispatch until
+  // lane 0 has pushed the whole flood, so the consumer cannot drain the
+  // ring mid-round and the spill route is taken on every host. Both
+  // events are keyed after the spawns, so the serial run (which executes
+  // the release first) never waits; neither touches simulated state.
+  std::atomic<bool> flooded{false};
+  eng.schedule_on(0, 0, [&flooded] {
+    flooded.store(true, std::memory_order_release);
+  });
+  eng.schedule_on(2, 0, [&flooded] {
+    while (!flooded.load(std::memory_order_acquire))
+      std::this_thread::yield();
+  });
   eng.run();
   r.log.push_back(eng.now());
   r.log.push_back(eng.events_processed());
@@ -210,18 +182,17 @@ RunResult flood_run(std::uint32_t shards, bool horizon_legacy) {
 }
 
 TEST(Horizon, RingSpillKeepsFloodByteIdentical) {
-  const RunResult serial = flood_run(1, false);
-  for (const bool legacy : {false, true}) {
-    const RunResult par = flood_run(2, legacy);
-    EXPECT_EQ(par.log, serial.log) << "horizon_legacy=" << legacy;
-  }
+  const RunResult serial = flood_run(1);
+  const RunResult par = flood_run(2);
+  EXPECT_EQ(par.log, serial.log);
+  EXPECT_GT(par.spilled, 0u) << "the flood never overflowed the ring";
 }
 
 // --- 10-seed differential fuzz ---------------------------------------------
 //
 // Random multi-group topologies and random exact-or-slack walks, run at
-// shards {1, 2, 4, 8} under both horizon protocols. Every configuration
-// must produce the serial byte stream.
+// shards {1, 2, 4, 8}. Every configuration must produce the serial byte
+// stream.
 
 struct FuzzPlan {
   sim::LaneTopology topo;
@@ -257,9 +228,8 @@ FuzzPlan make_plan(std::uint64_t seed) {
   return plan;
 }
 
-std::vector<std::uint64_t> fuzz_run(const FuzzPlan& plan, std::uint32_t shards,
-                                    bool horizon_legacy) {
-  EnvPin hl("RDMASEM_HORIZON_LEGACY", horizon_legacy ? "1" : "0");
+std::vector<std::uint64_t> fuzz_run(const FuzzPlan& plan,
+                                    std::uint32_t shards) {
   sim::Engine eng;
   eng.configure_lanes(6, shards, plan.topo);
   std::vector<std::uint64_t> log;
@@ -282,17 +252,13 @@ std::vector<std::uint64_t> fuzz_run(const FuzzPlan& plan, std::uint32_t shards,
   return log;
 }
 
-TEST(Horizon, TenSeedDifferentialFuzzAcrossShardsAndProtocols) {
+TEST(Horizon, TenSeedDifferentialFuzzAcrossShards) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const FuzzPlan plan = make_plan(seed);
-    const auto serial = fuzz_run(plan, 1, false);
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      for (const bool legacy : {false, true}) {
-        EXPECT_EQ(fuzz_run(plan, shards, legacy), serial)
-            << "seed=" << seed << " shards=" << shards
-            << " horizon_legacy=" << legacy;
-      }
-    }
+    const auto serial = fuzz_run(plan, 1);
+    for (const std::uint32_t shards : {2u, 4u, 8u})
+      EXPECT_EQ(fuzz_run(plan, shards), serial)
+          << "seed=" << seed << " shards=" << shards;
   }
 }
 

@@ -43,7 +43,7 @@ namespace {
 constexpr std::uint32_t kShardCounts[] = {1, 2, 4, 8};
 
 // Pins one env var for the lifetime of one run (clusters read
-// RDMASEM_SHARDS / RDMASEM_EPOCH_LEGACY at Engine construction) and
+// RDMASEM_SHARDS at Cluster construction) and
 // restores the previous value after.
 class EnvPin {
  public:
@@ -70,13 +70,6 @@ class ShardEnv : public EnvPin {
  public:
   explicit ShardEnv(std::uint32_t shards)
       : EnvPin("RDMASEM_SHARDS", std::to_string(shards)) {}
-};
-
-// Selects the original global-epoch protocol for the scope (differential
-// oracle: both protocols must produce the same bytes).
-class LegacyEnv : public EnvPin {
- public:
-  explicit LegacyEnv(bool on) : EnvPin("RDMASEM_EPOCH_LEGACY", on ? "1" : "0") {}
 };
 
 std::string shuffle_run(std::uint32_t shards, sh::Direction dir,
@@ -305,24 +298,11 @@ std::string broker_run(std::uint32_t shards) {
   return out;
 }
 
-// Scoped override of the process-wide datapath tuning knobs.
-struct TuningOverride {
-  v::DatapathTuning saved = v::datapath_tuning();
-  explicit TuningOverride(v::DatapathTuning t) { v::datapath_tuning() = t; }
-  ~TuningOverride() { v::datapath_tuning() = saved; }
-};
-
 // Microbench under a chaos fault plan, tracing on — retransmits, loss RNG
-// and the span merge all have to be shard-invariant too. `legacy_datapath`
-// turns off every verbs datapath optimisation AND the engine's inline
-// wakeup elision; the digest carries no event count, so legacy and fast
-// runs must match byte for byte.
-std::string chaos_run(std::uint32_t shards, bool legacy_datapath = false) {
+// and the span merge all have to be shard-invariant too.
+std::string chaos_run(std::uint32_t shards) {
   ShardEnv env(shards);
-  TuningOverride tuning(legacy_datapath ? v::DatapathTuning{false, false, false}
-                                        : v::datapath_tuning());
   Testbed tb;
-  if (legacy_datapath) tb.eng.set_inline_wakeups(false);
   tb.cluster.obs().tracer.set_enabled(true);
 
   sim::Rng plan_rng(777);
@@ -406,48 +386,14 @@ TEST(ParallelDeterminism, ChaosFaultsMatchSerialAtFourShards) {
     EXPECT_EQ(chaos_run(s), serial) << "shards=" << s;
 }
 
-TEST(ParallelDeterminism, LegacyDatapathMatchesFastPathAtEveryShardCount) {
-  // One oracle for both contracts: the legacy datapath (no zero-copy, no
-  // pooling, no cost fusing, no wakeup elision) must produce the same
-  // timeline as the fast path, and it must stay shard-deterministic too.
-  const std::string fast = chaos_run(1);
-  for (const std::uint32_t s : kShardCounts)
-    EXPECT_EQ(chaos_run(s, /*legacy_datapath=*/true), fast) << "shards=" << s;
-}
-
-TEST(ParallelDeterminism, LegacyEpochProtocolMatchesNewAtEveryShardCount) {
-  // Differential oracle for the epoch protocols: the original global-epoch
-  // protocol (RDMASEM_EPOCH_LEGACY=1) and the SPMD per-pair-lookahead one
-  // must produce byte-identical runs at every shard count — the protocol
-  // decides only HOW workers synchronize, never what the timeline is.
-  const std::string serial =
-      shuffle_run(1, sh::Direction::kPush, sh::BatchMode::kSgl);
-  for (const std::uint32_t s : kShardCounts) {
-    LegacyEnv legacy(true);
-    EXPECT_EQ(shuffle_run(s, sh::Direction::kPush, sh::BatchMode::kSgl),
-              serial)
-        << "legacy shards=" << s;
-  }
-}
-
-TEST(ParallelDeterminism, LegacyEpochProtocolMatchesNewOnServiceTier) {
-  const std::string serial = broker_run(1);
-  for (const std::uint32_t s : kShardCounts) {
-    LegacyEnv legacy(true);
-    EXPECT_EQ(broker_run(s), serial) << "legacy shards=" << s;
-  }
-}
-
 namespace {
 
 // An 8-machine cluster on a two-tier leaf/spine fabric (2 machines per
 // leaf): the lane topology Cluster derives feeds the per-pair lookahead
 // matrix, and leaf-aligned shard placement makes every cross-shard hop
-// pay the spine. The digest must be byte-identical across shard counts
-// under BOTH epoch protocols.
-std::string leaf_shuffle_run(std::uint32_t shards, bool legacy) {
+// pay the spine. The digest must be byte-identical across shard counts.
+std::string leaf_shuffle_run(std::uint32_t shards) {
   ShardEnv env(shards);
-  LegacyEnv lenv(legacy);
   hw::ModelParams p = hw::ModelParams::connectx3_cluster();
   p.machines = 8;
   p.net_machines_per_leaf = 2;
@@ -472,11 +418,9 @@ std::string leaf_shuffle_run(std::uint32_t shards, bool legacy) {
 }  // namespace
 
 TEST(ParallelDeterminism, LeafTopologyMatchesSerialAtEveryShardCount) {
-  const std::string serial = leaf_shuffle_run(1, false);
+  const std::string serial = leaf_shuffle_run(1);
   for (const std::uint32_t s : kShardCounts)
-    for (const bool legacy : {false, true})
-      EXPECT_EQ(leaf_shuffle_run(s, legacy), serial)
-          << "shards=" << s << " legacy=" << legacy;
+    EXPECT_EQ(leaf_shuffle_run(s), serial) << "shards=" << s;
 }
 
 TEST(ParallelDeterminism, LeafTopologyWidensCrossShardLookahead) {
@@ -490,7 +434,10 @@ TEST(ParallelDeterminism, LeafTopologyWidensCrossShardLookahead) {
   Testbed tb(p);
   const sim::Duration flat = p.net_propagation + p.net_switch_hop;
   ASSERT_EQ(tb.eng.shards(), 4u);
+  // The global floor stays the one-switch hop on both fabrics; the
+  // demand-driven publication quantum is half of it.
   EXPECT_EQ(tb.eng.lookahead(), flat);
+  EXPECT_EQ(Testbed().eng.lookahead(), flat);
   for (std::uint32_t s = 0; s < 4; ++s)
     for (std::uint32_t d = 0; d < 4; ++d) {
       if (s == d) continue;
