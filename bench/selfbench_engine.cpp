@@ -4,7 +4,7 @@
 // construction cannot regress when the scheduler gets slower. This binary
 // is the host-side complement: it times the event loop with
 // std::chrono::steady_clock and reports events/sec, so a regression in the
-// calendar queue, InlineFn dispatch, or the coroutine frame pool shows up
+// calendar queue, event dispatch, or the coroutine frame pool shows up
 // as a number CI can gate on (scripts/perf_gate.py).
 //
 // Workloads:
@@ -211,9 +211,11 @@ double best_of(int n, Fn&& measure) {
 // Self-rescheduling actor: every firing draws the next delay from a private
 // LCG stream, mixing immediates (same-timestamp FIFO path), short delays
 // (calendar ring) and far delays (overflow heap). The two extra captured
-// words push the closure past std::function's SBO — matching the real
-// capture sizes in fabric/rnic callbacks — while staying inside InlineFn's
-// 32 bytes.
+// words push the closure past std::function's SBO, so the legacy engine
+// heap-allocates every event. sim::Engine moves every callable into a
+// FramePool CallBox (here 32 bytes: the op pointer plus 24 captured), so
+// each firing here costs one pooled allocate/free; coroutine resumptions
+// pay none of it.
 template <typename Eng>
 struct Actor {
   Eng* eng;

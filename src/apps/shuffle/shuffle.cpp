@@ -308,12 +308,14 @@ sim::Task Shuffle::run_puller(Executor* ex, sim::CountdownLatch& staged,
 Result Shuffle::run() {
   auto& eng = ctxs_[0]->engine();
   sim::CountdownLatch done(eng, cfg_.executors);
+  // Pull mode only. Declared at function scope because the producers
+  // count it down during eng.run() below, after the branch has closed.
+  sim::CountdownLatch staged(eng, cfg_.executors);
   const sim::Time start = eng.now();
   // Each executor's coroutine runs on its machine's lane end to end (its
   // QPs are local, so verb completions resume it on the same lane); that
   // is what lets the parallel engine spread the mesh across shards.
   if (cfg_.direction == Direction::kPull) {
-    sim::CountdownLatch staged(eng, cfg_.executors);
     for (auto& ex : executors_)
       eng.spawn_on(ex->machine + 1, run_producer(ex.get(), staged));
     for (auto& ex : executors_)

@@ -23,6 +23,9 @@ class Channel {
   explicit Channel(Engine& engine) : engine_(engine) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
+  ~Channel() {
+    if (alive_ != nullptr) *alive_ = false;
+  }
 
   void push(T value) {
     items_.push_back(std::move(value));
@@ -77,7 +80,14 @@ class Channel {
       if (waiters_.empty() || items_.empty()) return;
       auto h = waiters_.front().handle;
       waiters_.pop_front();
+      // The consumer may destroy this channel before it suspends again (a
+      // reply channel that lives in the consumer's own frame), so the
+      // destructor clears `alive` and the re-arm is skipped.
+      bool alive = true;
+      alive_ = &alive;
       h.resume();  // consumes its item in await_resume
+      if (!alive) return;
+      alive_ = nullptr;
       wake_one();  // arm the next waiter if more items remain
     });
   }
@@ -86,6 +96,8 @@ class Channel {
   std::deque<T> items_;
   std::deque<LaneWaiter> waiters_;
   bool wake_pending_ = false;
+  // Set while a wake resumes a consumer; see wake_one().
+  bool* alive_ = nullptr;
 };
 
 }  // namespace rdmasem::sim

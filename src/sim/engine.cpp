@@ -78,18 +78,25 @@ Engine::Engine() : base_seed_(kDefaultSeed) {
 
 Engine::~Engine() {
   // Unblocked destruction order: drop the event queues first (pending
-  // resumptions reference frames), then destroy surviving frames.
-  // Channels are normally empty here (drained at every round top), but an
-  // aborted run may strand events in a ring — drop those the same way.
+  // resumptions reference frames, pending callables own their boxes),
+  // then destroy surviving frames. Channels and spill rows are normally
+  // empty here (drained at every round top), but an aborted run may
+  // strand events in them — drop those the same way. A channel's live
+  // range is [head, tail): slots before head were pulled and are owned
+  // by the consumer's queue now.
   for (auto& sh : shards_) {
     sh->queue.clear();
+    for (auto& row : sh->outbox) {
+      for (const Event& ev : row) ev.drop();
+      row.clear();
+    }
     if (sh->chan == nullptr) continue;
     for (std::uint32_t d = 0; d < nshards_; ++d) {
       EventChannel& ch = sh->chan[d];
       const std::uint64_t h = ch.head.load(std::memory_order_relaxed);
       const std::uint64_t t = ch.tail.load(std::memory_order_relaxed);
       for (std::uint64_t i = h; i != t; ++i)
-        ch.buf[i & (EventChannel::kCap - 1)] = Event{};
+        ch.buf[i & (EventChannel::kCap - 1)].drop();
       ch.head.store(t, std::memory_order_relaxed);
     }
   }
@@ -305,16 +312,12 @@ bool Engine::try_inline_advance(Time at) {
   return true;
 }
 
-void Engine::dispatch(Shard& sh, std::uint32_t shard_idx, Event& ev) {
+void Engine::dispatch(Shard& sh, std::uint32_t shard_idx, const Event& ev) {
   sh.now = ev.at;
   ++sh.processed;
   const detail::ExecContext saved = detail::t_exec;
   detail::t_exec = {this, shard_idx, ev.exec_lane};
-  if (ev.handle) {
-    ev.handle.resume();
-  } else {
-    ev.fn();
-  }
+  ev.fire();
   detail::t_exec = saved;
 }
 
@@ -333,11 +336,7 @@ Time Engine::run() {
       sh.now = ev.at;
       ++sh.processed;
       detail::t_exec.lane = ev.exec_lane;
-      if (ev.handle) {
-        ev.handle.resume();
-      } else {
-        ev.fn();
-      }
+      ev.fire();
     }
     detail::t_exec = saved;
     if (prof_) {
@@ -370,11 +369,7 @@ bool Engine::run_until(Time deadline) {
       sh.now = ev.at;
       ++sh.processed;
       detail::t_exec.lane = ev.exec_lane;
-      if (ev.handle) {
-        ev.handle.resume();
-      } else {
-        ev.fn();
-      }
+      ev.fire();
     }
     detail::t_exec = saved;
     if (prof_) {
@@ -471,7 +466,7 @@ void Engine::channel_pull(Shard& dst, EventChannel& ch) {
   const std::uint64_t t = ch.tail.load(std::memory_order_acquire);
   if (t == h) return;
   for (std::uint64_t i = h; i != t; ++i)
-    dst.queue.push(std::move(ch.buf[i & (EventChannel::kCap - 1)]));
+    dst.queue.push(ch.buf[i & (EventChannel::kCap - 1)]);
   ch.head.store(t, std::memory_order_release);
   dst.prof.merged_events += t - h;
 }
@@ -542,11 +537,7 @@ void Engine::run_shard_demand(std::uint32_t shard_idx, Time end, Time cap) {
       sh.now = ev.at;
       ++sh.processed;
       detail::t_exec.lane = ev.exec_lane;
-      if (ev.handle) {
-        ev.handle.resume();
-      } else {
-        ev.fn();
-      }
+      ev.fire();
     }
     if (prof_) sh.prof.dispatch_ns += ns_since(d0);
     if (sh.processed != before) {

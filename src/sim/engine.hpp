@@ -439,18 +439,22 @@ class Engine {
            lane_seq_[origin]++;
   }
 
+  // The callable moves into a pooled CallBox; the event carries only its
+  // tagged pointer (see sim::Event).
   template <typename F>
   void schedule_from(const Caller& c, std::uint32_t lane, Time at, F&& fn) {
-    push_event(lane, Event{at < c.now ? c.now : at, key_for(c.lane), nullptr,
-                           InlineFn(std::forward<F>(fn)), lane});
+    push_event(lane, Event{at < c.now ? c.now : at, key_for(c.lane),
+                           Event::call_target(
+                               CallBox::make(std::forward<F>(fn))),
+                           lane});
   }
   void resume_from(const Caller& c, std::uint32_t lane, Time at,
                    std::coroutine_handle<> h) {
-    push_event(lane, Event{at < c.now ? c.now : at, key_for(c.lane), h,
-                           InlineFn{}, lane});
+    push_event(lane, Event{at < c.now ? c.now : at, key_for(c.lane),
+                           Event::resume_target(h), lane});
   }
 
-  void push_event(std::uint32_t target_lane, Event&& ev) {
+  void push_event(std::uint32_t target_lane, const Event& ev) {
     RDMASEM_CHECK_MSG(target_lane < lanes_, "event lane out of range");
     const std::uint32_t dst = lane_shard_[target_lane];
     if (parallel_running_) {
@@ -485,20 +489,20 @@ class Engine {
         const std::uint64_t t = ch.tail.load(std::memory_order_relaxed);
         if (t - ch.head.load(std::memory_order_acquire) <
             EventChannel::kCap) {
-          ch.buf[t & (EventChannel::kCap - 1)] = std::move(ev);
+          ch.buf[t & (EventChannel::kCap - 1)] = ev;
           ch.tail.store(t + 1, std::memory_order_release);
         } else {
           if (sh.pub_freeze > sh.now) sh.pub_freeze = sh.now;
           ++sh.prof.spilled_events;
-          sh.outbox[dst].push_back(std::move(ev));
+          sh.outbox[dst].push_back(ev);
         }
         return;
       }
     }
-    shards_[dst]->queue.push(std::move(ev));
+    shards_[dst]->queue.push(ev);
   }
 
-  void dispatch(Shard& sh, std::uint32_t shard_idx, Event& ev);
+  void dispatch(Shard& sh, std::uint32_t shard_idx, const Event& ev);
   // Run phase of one barrier round: dispatches below the
   // static bound `end`, then repeatedly refreshes a LIVE bound from the
   // peers' published clocks (pulling channel traffic as it lands) and

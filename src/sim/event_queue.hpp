@@ -4,31 +4,108 @@
 #include <bit>
 #include <coroutine>
 #include <cstdint>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/inline_fn.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 
 namespace rdmasem::sim {
 
-// One scheduled engine event. `handle` set => coroutine resumption;
-// otherwise `fn` is invoked. (at, seq) is the total dispatch order:
-// earlier time first, then seq. The engine packs seq as
-// (origin_lane << 48) | per_lane_seq, so the order is a pure function of
-// which lane scheduled the event and in what per-lane order — i.e. it
-// does not depend on how lanes are placed onto shards, which is what
-// makes parallel execution byte-identical to serial (docs/PERF.md).
-// `exec_lane` is the lane the event runs on (differs from the origin
-// lane only for cross-lane hops/wakes).
+// Out-of-line storage for a scheduled callable. Callables are rare on the
+// hot path (fault edges, home-lane sync routing, channel wakes; everything
+// else resumes a coroutine), so they live in a box from the thread-local
+// FramePool instead of widening every Event. `op(box, true)` invokes the
+// callable and frees the box; `op(box, false)` only frees it (an event
+// dropped at teardown). Either way the box is gone afterwards.
+struct CallBox {
+  void (*op)(CallBox* box, bool invoke);
+
+  template <typename F>
+  static CallBox* make(F&& fn);
+};
+
+namespace detail {
+
+template <typename D>
+struct CallBoxOf final : CallBox {
+  D fn;
+
+  template <typename F>
+  explicit CallBoxOf(F&& f) : CallBox{&run}, fn(std::forward<F>(f)) {}
+
+  static void run(CallBox* box, bool invoke) {
+    auto* self = static_cast<CallBoxOf*>(box);
+    if (invoke) self->fn();
+    self->~CallBoxOf();
+    FramePool::deallocate(self, sizeof(CallBoxOf));
+  }
+};
+
+}  // namespace detail
+
+template <typename F>
+CallBox* CallBox::make(F&& fn) {
+  using Box = detail::CallBoxOf<std::decay_t<F>>;
+  static_assert(alignof(Box) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "FramePool blocks are only default-new aligned");
+  return ::new (FramePool::allocate(sizeof(Box))) Box(std::forward<F>(fn));
+}
+
+// One scheduled engine event: 32 bytes, trivially copyable, so bucket
+// appends, cursor-bucket sorts and overflow-heap sifts move half a cache
+// line. (at, seq) is the total dispatch order: earlier time first, then
+// seq. The engine packs seq as (origin_lane << 48) | per_lane_seq, so the
+// order is a pure function of which lane scheduled the event and in what
+// per-lane order — i.e. it does not depend on how lanes are placed onto
+// shards, which is what makes parallel execution byte-identical to serial
+// (docs/PERF.md). `exec_lane` is the lane the event runs on (differs from
+// the origin lane only for cross-lane hops/wakes).
+//
+// `target` is a coroutine frame address (resume), or a CallBox pointer
+// with the low bit set (invoke). Frames and boxes both come from
+// operator new, so the bit is always free. A callable event OWNS its box
+// until fire() or drop(); copies share it, so every holder that never
+// fires an event must drop it exactly once (EventQueue::clear and the
+// engine's teardown paths).
 struct Event {
+  static constexpr std::uintptr_t kCallTag = 1;
+
   Time at = 0;
   std::uint64_t seq = 0;
-  std::coroutine_handle<> handle{};
-  InlineFn fn;
+  std::uintptr_t target = 0;
   std::uint32_t exec_lane = 0;
+  // 4 bytes of tail padding: free for a future per-event tag.
+
+  static std::uintptr_t resume_target(std::coroutine_handle<> h) {
+    return reinterpret_cast<std::uintptr_t>(h.address());
+  }
+  static std::uintptr_t call_target(CallBox* box) {
+    return reinterpret_cast<std::uintptr_t>(box) | kCallTag;
+  }
+
+  // Runs the event: resumes the coroutine or invokes (and frees) the box.
+  void fire() const {
+    if (target & kCallTag) [[unlikely]] {
+      CallBox* box = reinterpret_cast<CallBox*>(target & ~kCallTag);
+      box->op(box, true);
+    } else {
+      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(target))
+          .resume();
+    }
+  }
+  // Frees an unfired callable's box; coroutine frames are not owned here.
+  void drop() const {
+    if (target & kCallTag) {
+      CallBox* box = reinterpret_cast<CallBox*>(target & ~kCallTag);
+      box->op(box, false);
+    }
+  }
 };
+static_assert(sizeof(Event) == 32, "Event must stay 32 bytes");
 
 inline bool event_before(const Event& a, const Event& b) {
   return a.at != b.at ? a.at < b.at : a.seq < b.seq;
@@ -88,9 +165,11 @@ class EventQueue {
   // first-time collision of k events in one 8 ns bucket (the phase of a
   // pipeline drifts across buckets over time) grows that bucket's vector
   // 0->1->2->..., which shows up as rare-but-unbounded-tail allocations
-  // in the selfbench datapath probe. ~256 x 8 x sizeof(Event) = ~130 KB
-  // per queue, paid once at construction.
+  // in the selfbench datapath probe. 256 x 8 x sizeof(Event) = 64 KB per
+  // queue, paid once at construction.
   static constexpr std::size_t kInitialBucketCap = 8;
+  // Bucket size up to which open_bucket() sorts by insertion.
+  static constexpr std::size_t kInsertionSortMax = 16;
 
   EventQueue() {
     for (auto& b : buckets_) b.reserve(kInitialBucketCap);
@@ -108,7 +187,7 @@ class EventQueue {
 
   // `ev.seq` must be unique among coexisting events; no push-order
   // constraint beyond that.
-  void push(Event&& ev) {
+  void push(const Event& ev) {
     ++size_;
     if (size_ > max_size_) max_size_ = size_;
     const std::uint64_t slot = ev.at >> kSlotShift;
@@ -117,20 +196,20 @@ class EventQueue {
       mark_occupied(static_cast<std::uint32_t>(slot & kIndexMask));
       ++ring_count_;
       if (slot != cur_slot_ || b.empty() || event_before(b.back(), ev)) {
-        b.push_back(std::move(ev));
+        b.push_back(ev);
       } else {
         // The cursor bucket is kept sorted from head_ (pop reads its
         // minimum at head_); keep the live region ordered.
         b.insert(std::upper_bound(b.begin() + head_, b.end(), ev,
                                   event_before),
-                 std::move(ev));
+                 ev);
       }
       return;
     }
     // Past the horizon — or (rarely) behind the cursor, which happens
     // only after run_until() parked the clock below the next event: the
     // overflow heap handles both, and pop() considers its top directly.
-    overflow_.push_back(std::move(ev));
+    overflow_.push_back(ev);
     std::push_heap(overflow_.begin(), overflow_.end(), event_after);
   }
 
@@ -139,7 +218,7 @@ class EventQueue {
   // next epoch). Arbitrary arrival order is fine — see the determinism
   // note above.
   void push_all(std::vector<Event>& evs) {
-    for (Event& ev : evs) push(std::move(ev));
+    for (const Event& ev : evs) push(ev);
     evs.clear();
   }
 
@@ -175,9 +254,18 @@ class EventQueue {
     return {best->at, best->seq};
   }
 
-  // Drops every queued event (engine teardown). Capacities are kept.
+  // Drops every queued event (engine teardown), freeing callable boxes.
+  // Capacities are kept.
   void clear() {
-    for (auto& b : buckets_) b.clear();
+    for (std::uint32_t i = 0; i < kBuckets; ++i) {
+      auto& b = buckets_[i];
+      // The cursor bucket's [0, head_) was popped (copied out, and fired
+      // or handed on by the popper) but still holds the targets.
+      const std::size_t live_from = i == cur_index() ? head_ : 0;
+      for (std::size_t k = live_from; k < b.size(); ++k) b[k].drop();
+      b.clear();
+    }
+    for (const Event& ev : overflow_) ev.drop();
     for (auto& w : occupied_) w = 0;
     overflow_.clear();
     size_ = 0;
@@ -215,10 +303,21 @@ class EventQueue {
   }
 
   // Sorts the bucket the cursor just reached and resets the consumption
-  // head. Done exactly once per bucket per window pass.
+  // head. Done exactly once per bucket per window pass. Buckets hold about
+  // two events on average in cluster runs; a plain insertion sort skips
+  // std::sort's introsort setup and its per-shift memmove calls there.
   void open_bucket() {
     auto& b = buckets_[cur_index()];
-    std::sort(b.begin(), b.end(), event_before);
+    if (b.size() <= kInsertionSortMax) {
+      for (std::size_t i = 1; i < b.size(); ++i) {
+        const Event ev = b[i];
+        std::size_t j = i;
+        for (; j > 0 && event_before(ev, b[j - 1]); --j) b[j] = b[j - 1];
+        b[j] = ev;
+      }
+    } else {
+      std::sort(b.begin(), b.end(), event_before);
+    }
     head_ = 0;
   }
 
@@ -234,10 +333,10 @@ class EventQueue {
       while (!overflow_.empty() &&
              (overflow_.front().at >> kSlotShift) - cur_slot_ < kBuckets) {
         std::pop_heap(overflow_.begin(), overflow_.end(), event_after);
-        Event ev = std::move(overflow_.back());
+        const Event ev = overflow_.back();
         overflow_.pop_back();
         const auto slot = ev.at >> kSlotShift;
-        buckets_[slot & kIndexMask].push_back(std::move(ev));
+        buckets_[slot & kIndexMask].push_back(ev);
         mark_occupied(static_cast<std::uint32_t>(slot & kIndexMask));
         ++ring_count_;
       }
@@ -271,7 +370,7 @@ class EventQueue {
 
   Event pop_ring() {
     auto& b = buckets_[cur_index()];
-    Event ev = std::move(b[head_]);
+    const Event ev = b[head_];
     if (++head_ == b.size()) {
       b.clear();
       head_ = 0;
@@ -283,7 +382,7 @@ class EventQueue {
 
   Event pop_overflow() {
     std::pop_heap(overflow_.begin(), overflow_.end(), event_after);
-    Event ev = std::move(overflow_.back());
+    const Event ev = overflow_.back();
     overflow_.pop_back();
     return ev;
   }

@@ -12,7 +12,8 @@ namespace rdmasem::sim {
 // and frees one frame per work request. Frames of the same coroutine
 // function always have the same size, so a recycled frame is a perfect
 // fit: after warm-up the WR hot path performs no frame allocations at
-// all. The simulator is single-threaded per engine; the pool is
+// all. The engine's scheduled-callable boxes (sim::CallBox) share the
+// pool. The simulator is single-threaded per engine; the pool is
 // thread-local so concurrent engines (e.g. parallel ctest binaries in
 // one process) never contend or mix.
 //

@@ -244,7 +244,7 @@ TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
     // Pack a random origin lane above the per-push counter: unique keys
     // whose order differs from push order, as in cross-shard merges.
     const std::uint64_t key = (rng.uniform(4) << 48) | seq;
-    q.push(sim::Event{at, key, {}, sim::InlineFn{}});
+    q.push(sim::Event{at, key});
     ref.push(RefEvent{at, key});
     ++seq;
   };

@@ -182,6 +182,27 @@ TEST(ChannelEdge, PushWhileDrainingKeepsOrder) {
   EXPECT_EQ(ch.waiting(), 0u);
 }
 
+// A reply channel that lives in the consumer's own frame, as in
+// remem::ProxySocketRouter::submit: the wake that resumes the consumer
+// lets it finish, which destroys the channel before the wake returns.
+sim::TaskT<int> ask_with_reply_channel(sim::Engine& eng) {
+  sim::Channel<int> reply(eng);
+  eng.schedule_in(sim::ns(10), [&reply] { reply.push(42); });
+  co_return co_await reply.pop();
+}
+
+TEST(ChannelEdge, ConsumerMayDestroyChannelDuringWake) {
+  // The wake must not touch the channel after resuming the consumer;
+  // under ASan a re-arm on the freed frame is a heap-use-after-free.
+  sim::Engine eng;
+  int got = 0;
+  eng.spawn([](sim::Engine& e, int& out) -> sim::Task {
+    out = co_await ask_with_reply_channel(e);
+  }(eng, got));
+  eng.run();
+  EXPECT_EQ(got, 42);
+}
+
 // ---------------------------------------------------------------------------
 // Resource edges
 
@@ -291,11 +312,11 @@ TEST(EventQueueEdge, ClearDropsEverythingAndKeepsWorking) {
   sim::EventQueue q;
   for (int i = 0; i < 100; ++i)
     q.push(sim::Event{static_cast<sim::Time>(i * 1000),
-                      static_cast<std::uint64_t>(i), {}, sim::InlineFn{}});
+                      static_cast<std::uint64_t>(i)});
   EXPECT_EQ(q.size(), 100u);
   q.clear();
   EXPECT_TRUE(q.empty());
-  q.push(sim::Event{5, 0, {}, sim::InlineFn{}});
+  q.push(sim::Event{5, 0});
   EXPECT_EQ(q.pop().at, 5u);
   EXPECT_TRUE(q.empty());
 }
