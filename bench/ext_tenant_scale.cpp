@@ -309,7 +309,7 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
   }
   rig.eng.run();
 
-  // Merge in tenant order (shard-count invariant).
+  // Merge in tenant order.
   RunResult out;
   out.srv_qps = srv_qps;
   util::Samples all;

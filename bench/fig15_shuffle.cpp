@@ -31,9 +31,8 @@ double run_shuffle(std::uint32_t executors, sh::BatchMode mode,
   RDMASEM_CHECK_MSG(s.received_checksum() == s.sent_checksum(),
                     "shuffle corrupted data");
   // Engine-profile drain only (not the full obs absorb): under
-  // RDMASEM_PROF=1 the scaling battery reads events-per-epoch and the
-  // barrier-park share from this report; disabled snapshots are skipped,
-  // so the byte-compared unprofiled reports are unaffected.
+  // RDMASEM_PROF=1 the report carries the engine's host-time profile;
+  // disabled snapshots are skipped, so unprofiled reports are unaffected.
   bench::engine_profile().absorb(rig.eng.drain_profile());
   return r.mops;
 }

@@ -77,34 +77,19 @@ CP_STAGE_KEYS = {
     "whatif_2x": (int, float),
 }
 
-ENGINE_SCHEMA = "rdmasem-engine-profile-v1"
+ENGINE_SCHEMA = "rdmasem-engine-profile-v2"
 
-EP_ROW_KEYS = {
-    "shard": int,
-    "epochs": int,
+# The engine profile is one row: the engine's host-time totals over every
+# profiled run of the bench.
+EP_KEYS = {
+    "schema": str,
+    "runs": int,
     "events": int,
     "inline_grants": int,
-    "merged_events": int,
-    "merge_ns": int,
-    "barrier_park_ns": int,
     "dispatch_ns": int,
     "wall_ns": int,
     "max_queue_depth": int,
-    "lookahead_ps": int,
     "accounted_share": (int, float),
-    # Derived rates (PR 9): barrier frequency, work per crossing, and the
-    # effective conservative-epoch width in virtual picoseconds.
-    "epochs_per_sec": (int, float),
-    "events_per_epoch": (int, float),
-    "effective_lookahead_ps": (int, float),
-    # Demand-driven horizon counters: rounds fused past the static bound,
-    # budget-forced re-splits, the total virtual widening bought, and
-    # cross-shard events spilled past a full channel ring.
-    # Host-race-dependent values; only presence/type/sanity is checked.
-    "fused_epochs": int,
-    "resplit_epochs": int,
-    "horizon_widening_ps": int,
-    "spilled_events": int,
 }
 
 
@@ -193,51 +178,19 @@ def check_critical_path(path, cp):
 def check_engine_profile(path, ep):
     if not isinstance(ep, dict) or ep.get("schema") != ENGINE_SCHEMA:
         fail(path, f"engine_profile schema is not {ENGINE_SCHEMA!r}")
-    groups = ep.get("groups")
-    if not isinstance(groups, list) or not groups:
-        fail(path, "engine_profile.groups missing or empty")
-    for g in groups:
-        check_typed_dict(path, "engine_profile group", g,
-                         {"shards": int, "runs": int, "rows": list})
-        if g["shards"] < 1 or g["runs"] < 1:
-            fail(path, "engine_profile group with no shards or runs")
-        if len(g["rows"]) != g["shards"]:
-            fail(path, f"engine_profile group shards={g['shards']} has "
-                       f"{len(g['rows'])} rows")
-        for r in g["rows"]:
-            check_typed_dict(path, "engine_profile row", r, EP_ROW_KEYS)
-            # Machine-dependent, so not gated at 0.95 here (the CI smoke
-            # and obs_report.py --min-accounted do that); just sane.
-            if not 0.0 <= r["accounted_share"] <= 1.0:
-                fail(path, f"accounted_share out of [0,1]: "
-                           f"{r['accounted_share']}")
-            # Derived fields must be non-negative and consistent with the
-            # raw counters they derive from (exact to rounding).
-            for key in ("epochs_per_sec", "events_per_epoch",
-                        "effective_lookahead_ps"):
-                if r[key] < 0:
-                    fail(path, f"{key} negative: {r[key]}")
-            if r["epochs"] > 0:
-                want = r["events"] / r["epochs"]
-                if abs(r["events_per_epoch"] - want) > max(1e-2, want * 1e-3):
-                    fail(path, f"events_per_epoch {r['events_per_epoch']} "
-                               f"inconsistent with events/epochs {want:.3f}")
-                want = r["lookahead_ps"] / r["epochs"]
-                if abs(r["effective_lookahead_ps"] - want) > \
-                        max(1e-2, want * 1e-3):
-                    fail(path, f"effective_lookahead_ps "
-                               f"{r['effective_lookahead_ps']} inconsistent "
-                               f"with lookahead_ps/epochs {want:.3f}")
-            elif r["events_per_epoch"] or r["effective_lookahead_ps"] or \
-                    r["epochs_per_sec"]:
-                fail(path, "derived epoch rates nonzero with zero epochs")
-            for key in ("fused_epochs", "resplit_epochs",
-                        "horizon_widening_ps", "spilled_events"):
-                if r[key] < 0:
-                    fail(path, f"{key} negative: {r[key]}")
-            if r["horizon_widening_ps"] and not r["fused_epochs"]:
-                fail(path, "horizon_widening_ps nonzero with zero "
-                           "fused_epochs")
+    check_typed_dict(path, "engine_profile", ep, EP_KEYS)
+    if ep["runs"] < 1:
+        fail(path, "engine_profile with no runs")
+    if ep["dispatch_ns"] > ep["wall_ns"]:
+        fail(path, f"engine_profile dispatch_ns {ep['dispatch_ns']} exceeds "
+                   f"wall_ns {ep['wall_ns']}")
+    # Machine-dependent, so not gated at 0.95 here (the CI smoke and
+    # obs_report.py --min-accounted do that); just consistent with the
+    # raw counters it derives from (exact to rounding).
+    want = ep["dispatch_ns"] / ep["wall_ns"] if ep["wall_ns"] else 0.0
+    if abs(ep["accounted_share"] - want) > 1e-5:
+        fail(path, f"accounted_share {ep['accounted_share']} inconsistent "
+                   f"with dispatch/wall {want:.6f}")
 
 
 SYNC_ABORT_KEYS = {
@@ -364,7 +317,7 @@ def check_report(path):
     ep = report.get("engine_profile")
     if ep is not None:
         check_engine_profile(path, ep)
-        extras.append(f"{len(ep['groups'])} profile group(s)")
+        extras.append(f"engine profile over {ep['runs']} run(s)")
     sync = report.get("sync")
     if sync is not None:
         check_sync(path, sync)

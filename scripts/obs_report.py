@@ -6,16 +6,16 @@ per-WR critical-path decomposition with CoZ-style what-if estimates, and
 the exact-picosecond reconciliation status, read from the
 "resource_waits" / "critical_path" sections of BENCH_<name>.json files.
 
-Plane 2 (host time): per-shard engine cost decomposition (dispatch /
-barrier-park / outbox-merge shares of wall time), read from an
-ENGINE_PROFILE.json (or the "engine_profile" section of a bench report).
+Plane 2 (host time): the engine's cost decomposition (the dispatch share
+of wall time), read from an ENGINE_PROFILE.json (or the "engine_profile"
+section of a bench report).
 
 Usage:
   obs_report.py [--engine-profile PATH] [--min-accounted FRACTION]
                 [--top N] [BENCH_foo.json ...]
 
 Exits non-zero when a report is malformed, a critical path fails to
-reconcile, or any profiled shard's accounted share falls below
+reconcile, or a profile's accounted share falls below
 --min-accounted (default 0.0, i.e. not gated). Stdlib only.
 """
 
@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-ENGINE_SCHEMA = "rdmasem-engine-profile-v1"
+ENGINE_SCHEMA = "rdmasem-engine-profile-v2"
 
 
 def die(msg):
@@ -92,52 +92,16 @@ def report_critical_path(name, cp, top):
 def report_engine_profile(name, ep, min_accounted):
     if ep.get("schema") != ENGINE_SCHEMA:
         die(f"{name}: engine profile schema is not {ENGINE_SCHEMA!r}")
-    worst = 1.0
-    starved = []
-    for g in ep.get("groups", []):
-        print(f"\n== {name}: engine profile, shards={g['shards']} "
-              f"({g['runs']} run(s)) ==")
-        out = []
-        for r in g["rows"]:
-            wall = r["wall_ns"]
-            acct = r["accounted_share"]
-            worst = min(worst, acct)
-            epe = r.get("events_per_epoch", 0)
-            if g["shards"] > 1 and r["epochs"] > 0 and epe < 10:
-                starved.append((g["shards"], r["shard"], epe))
-            out.append([
-                str(r["shard"]), str(r["epochs"]), str(r["events"]),
-                f"{epe:.1f}",
-                f"{r.get('epochs_per_sec', 0):.0f}",
-                f"{r.get('effective_lookahead_ps', 0) / 1e3:.1f}",
-                str(r.get("fused_epochs", 0)),
-                str(r.get("resplit_epochs", 0)),
-                f"{r.get('horizon_widening_ps', 0) / 1e3:.1f}",
-                str(r.get("spilled_events", 0)),
-                ms(r["dispatch_ns"]), ms(r["barrier_park_ns"]),
-                ms(r["merge_ns"]), ms(wall),
-                f"{r['dispatch_ns'] / wall:.3f}" if wall else "0",
-                f"{r['barrier_park_ns'] / wall:.3f}" if wall else "0",
-                f"{r['merge_ns'] / wall:.3f}" if wall else "0",
-                f"{acct:.3f}", str(r["merged_events"]),
-                str(r["inline_grants"]), str(r["max_queue_depth"]),
-            ])
-        print(fmt_table(
-            ["shard", "epochs", "events", "ev/epoch", "epoch/s",
-             "eff_la_ns", "fused", "resplit", "widen_ns", "spilled",
-             "dispatch_ms", "park_ms",
-             "merge_ms", "wall_ms", "disp_share", "park_share",
-             "merge_share", "accounted", "merged_ev", "inline", "max_qd"],
-            out))
-    for shards, shard, epe in starved:
-        # The symptom the demand-driven horizon exists to fix: barrier
-        # crossings so frequent that each buys under 10 events of work.
-        print(f"obs_report: WARNING: {name} shards={shards} shard {shard}: "
-              f"events_per_epoch {epe:.1f} < 10 — epoch-starved; check "
-              "the fused/resplit counters and the lane placement",
-              file=sys.stderr)
-    if worst < min_accounted:
-        die(f"{name}: accounted share {worst:.3f} below "
+    print(f"\n== {name}: engine profile ({ep['runs']} run(s)) ==")
+    acct = ep["accounted_share"]
+    print(fmt_table(
+        ["events", "inline", "dispatch_ms", "wall_ms", "accounted",
+         "max_qd"],
+        [[str(ep["events"]), str(ep["inline_grants"]),
+          ms(ep["dispatch_ns"]), ms(ep["wall_ns"]), f"{acct:.3f}",
+          str(ep["max_queue_depth"])]]))
+    if acct < min_accounted:
+        die(f"{name}: accounted share {acct:.3f} below "
             f"--min-accounted {min_accounted}")
 
 
@@ -149,8 +113,8 @@ def main(argv):
     ap.add_argument("--engine-profile", metavar="PATH",
                     help="standalone ENGINE_PROFILE.json to render")
     ap.add_argument("--min-accounted", type=float, default=0.0,
-                    help="fail if any shard's (dispatch+park+merge)/wall "
-                         "share is below this fraction")
+                    help="fail if a profile's dispatch/wall share is "
+                         "below this fraction")
     ap.add_argument("--top", type=int, default=12,
                     help="rows per bottleneck table (default 12)")
     args = ap.parse_args(argv[1:])

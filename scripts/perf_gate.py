@@ -6,19 +6,9 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
 
   1. The in-run calendar/legacy dispatch speedup must stay above a floor
      (default 1.8x; it was 2.0x before the engine grew lane-keyed event
-     ordering, whose placement-free total order is what makes the
-     parallel mode deterministic — that bookkeeping costs ~10% of serial
-     dispatch, see docs/PERF.md). Both engines are timed in the same
-     process on the same machine, so this number is machine-independent
-     — it is the primary serial criterion. The parallel engine has its own in-run ratio:
-     speedup/par4 (4-shard vs serial wall clock on a 16-machine shuffle)
-     must stay above --min-par-speedup (default 2.0x) — enforced only
-     when the parallel_cpus/host point shows >= 4 effective cores,
-     because a core-starved host cannot exhibit the speedup. That point
-     comes from a calibrated spin probe (the same spin on every thread
-     at once vs one thread alone), not from the core count the host
-     reports, and is rounded to the nearest core: a real 4-core host
-     reads about 3.7 because all-core clocks run a little slower. The
+     ordering, which costs ~10% of dispatch, see docs/PERF.md). Both
+     engines are timed in the same process on the same machine, so this
+     number is machine-independent — it is the primary criterion. The
      datapath_allocs/steady point must be exactly 0: the steady-state
      single-SGE hot path is not allowed to touch the heap.
   2. Every workload's throughput, NORMALIZED by the in-run legacy
@@ -33,8 +23,12 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
 Regenerate the baseline after an intentional engine change with
   scripts/perf_gate.py BENCH_selfbench_engine.json --update-baseline
 and commit the result (procedure: docs/PERF.md). --update-baseline
-refuses a report recorded on fewer than 4 effective cores: a baseline
-from a small host would waive the parallel floor and park budget.
+refuses a report recorded on fewer than 4 effective cores, read from the
+report's parallel_cpus/host point. That point comes from a calibrated
+spin probe (the same spin on every thread at once vs one thread alone),
+not from the core count the host reports, and is rounded to the nearest
+core: a real 4-core host reads about 3.7 because all-core clocks run a
+little slower.
 
 With --tenant-report BENCH_ext_tenant_scale.json the gate additionally
 enforces the multi-tenant scaling contract (docs/SERVICE.md): each
@@ -54,8 +48,7 @@ import os
 import sys
 
 BASELINE_SCHEMA = "rdmasem-perf-baseline-v1"
-# Effective cores the parallel floor, the park budget and a baseline
-# recording need.
+# Effective cores a baseline recording needs.
 MIN_CORES = 4
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "bench",
@@ -92,22 +85,6 @@ def load_points(path):
 def effective_cores(par_cpus):
     """Spin-probe reading rounded to whole cores (0 when absent)."""
     return 0 if par_cpus is None else int(par_cpus + 0.5)
-
-
-def park_share(report, shards):
-    """Barrier-park share of wall time, summed over the rows of the
-    engine-profile group with the given shard count; None when the report
-    carries no profile or no such group (profiling disabled)."""
-    ep = report.get("engine_profile")
-    if not isinstance(ep, dict):
-        return None
-    for g in ep.get("groups", []):
-        if g.get("shards") != shards:
-            continue
-        park = sum(int(r.get("barrier_park_ns", 0)) for r in g["rows"])
-        wall = sum(int(r.get("wall_ns", 0)) for r in g["rows"])
-        return park / wall if wall > 0 else None
-    return None
 
 
 def sustained_tenants(points, series, tolerance):
@@ -164,19 +141,6 @@ def main():
                     default=float(os.environ.get("RDMASEM_PERF_MIN_SPEEDUP",
                                                  "1.8")),
                     help="floor for the calendar/legacy dispatch ratio")
-    ap.add_argument("--min-par-speedup", type=float,
-                    default=float(os.environ.get(
-                        "RDMASEM_PERF_MIN_PAR_SPEEDUP", "2.0")),
-                    help="floor for the 4-shard/serial parallel ratio "
-                         "(enforced only when the report was produced on "
-                         "a host with >= 4 effective cores)")
-    ap.add_argument("--max-park-share", type=float,
-                    default=float(os.environ.get(
-                        "RDMASEM_PERF_MAX_PARK_SHARE", "0.40")),
-                    help="barrier-park budget: ceiling on the shard-4 "
-                         "park/wall share from the report's engine_profile "
-                         "section (enforced only on hosts with >= 4 "
-                         "effective cores; env RDMASEM_PERF_MAX_PARK_SHARE)")
     ap.add_argument("--tenant-report", default=None,
                     help="BENCH_ext_tenant_scale.json; when given, also "
                          "enforce the multi-tenant scaling floors")
@@ -213,31 +177,19 @@ def main():
     if speedup is None:
         die("report lacks a speedup/dispatch point")
 
-    # Workload rows: everything except the legacy anchor, the ratio rows,
-    # the parallel sweep — parallel throughput depends on the host's
-    # core count, so it is gated by its own in-run ratio below, not by a
-    # cross-machine baseline comparison — and the allocation counter,
-    # which is an exact criterion of its own, not a throughput.
+    # Workload rows: everything except the legacy anchor, the ratio row,
+    # the host-core probe and the allocation counter, which is an exact
+    # criterion of its own, not a throughput.
     workloads = {
         f"{series}/{x}": mops
         for (series, x), mops in sorted(points.items())
-        if series not in ("speedup", "parallel", "parallel_cpus",
-                          "datapath_allocs")
+        if series not in ("speedup", "parallel_cpus", "datapath_allocs")
         and (series, x) != ("dispatch", "legacy")
     }
     normalized = {k: v / legacy for k, v in workloads.items()}
 
-    # Parallel-engine self-ratio. The sweep is REQUIRED (since PR 9): a
-    # report without it can silently skip the scaling floor, so its
-    # absence is a gate failure, not a skip. The floor itself is only
-    # waived on hosts with < 4 effective cores, which physically cannot
-    # exhibit a 4-shard speedup.
-    par_speedup = points.get(("speedup", "par4"))
     par_cpus = points.get(("parallel_cpus", "host"))
     cores = effective_cores(par_cpus)
-    if par_speedup is None:
-        die("report lacks the speedup/par4 point (parallel sweep) — "
-            "the 4-shard scaling floor cannot be skipped")
     dp_allocs = points.get(("datapath_allocs", "steady"))
 
     if args.update_baseline:
@@ -255,8 +207,6 @@ def main():
             "absolute_mev": {k: round(v, 4) for k, v in workloads.items()},
             "normalized": {k: round(v, 4) for k, v in normalized.items()},
         }
-        # Context only — the gate uses the in-run ratio, never this.
-        baseline["parallel_speedup"] = round(par_speedup, 4)
         baseline["parallel_cpus"] = round(par_cpus, 2)
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
@@ -281,41 +231,6 @@ def main():
         failures.append(
             f"dispatch speedup {speedup:.2f}x fell below the "
             f"{args.min_speedup:.2f}x floor")
-
-    if cores >= MIN_CORES:
-        print(f"perf_gate: parallel speedup 4-shard/serial = "
-              f"{par_speedup:.2f}x (floor {args.min_par_speedup:.2f}x, "
-              f"effective cores {par_cpus:.2f})")
-        if par_speedup < args.min_par_speedup:
-            failures.append(
-                f"parallel 4-shard speedup {par_speedup:.2f}x fell "
-                f"below the {args.min_par_speedup:.2f}x floor")
-    else:
-        print(f"perf_gate: parallel speedup 4-shard/serial = "
-              f"{par_speedup:.2f}x — floor SKIPPED (host has {cores} "
-              f"effective cores, need >= {MIN_CORES})")
-
-    # Barrier-park budget (PR 10): with the demand-driven horizon engaged,
-    # shard-4 workers must spend most of their wall time dispatching, not
-    # parked at the epoch barrier. Same host waiver as the speedup floor:
-    # on < 4 effective cores the workers time-slice one another and park
-    # time measures the scheduler, not the engine. The selfbench's parallel
-    # sweep always runs profiled (bench/selfbench_engine.cpp), so a missing
-    # profile group means the sweep was skipped — already fatal above.
-    share = park_share(report, 4)
-    if share is not None:
-        if cores >= MIN_CORES:
-            verdict = "ok" if share < args.max_park_share else "REGRESSED"
-            print(f"perf_gate: shard-4 barrier-park share = {share:.3f} "
-                  f"(budget {args.max_park_share:.2f}) {verdict}")
-            if share >= args.max_park_share:
-                failures.append(
-                    f"shard-4 barrier-park share {share:.3f} blew the "
-                    f"{args.max_park_share:.2f} budget")
-        else:
-            print(f"perf_gate: shard-4 barrier-park share = {share:.3f} "
-                  f"— budget SKIPPED (host has {cores} effective cores, "
-                  f"need >= {MIN_CORES})")
 
     if dp_allocs is not None:
         verdict = "ok" if dp_allocs == 0 else "REGRESSED"

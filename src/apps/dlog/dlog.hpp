@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -90,12 +89,9 @@ class DistributedLog {
 
   // False once any engine dropped replica `r` (failover after a crash).
   bool replica_alive(std::uint32_t r) const {
-    return r < replica_dead_.size() &&
-           !replica_dead_[r].load(std::memory_order_relaxed);
+    return r < replica_dead_.size() && !replica_dead_[r];
   }
-  std::uint64_t failovers() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t failovers() const { return failovers_; }
 
  private:
   struct Engine;
@@ -113,12 +109,10 @@ class DistributedLog {
   std::vector<verbs::Buffer> replica_mem_;
   std::vector<verbs::MemoryRegion*> replica_mrs_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  // Failover bookkeeping is written from every engine's lane: dead flags
-  // and the failover count commute (set-true / increment), and the first
-  // failover time is a min — all shard-layout independent.
-  std::vector<std::atomic<bool>> replica_dead_;
-  std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<sim::Time> first_failover_at_{0};
+  // Failover bookkeeping, written from every engine's lane.
+  std::vector<bool> replica_dead_;
+  std::uint64_t failovers_ = 0;
+  sim::Time first_failover_at_ = 0;
 };
 
 }  // namespace rdmasem::apps::dlog

@@ -104,7 +104,7 @@ Result run_join(std::vector<verbs::Context*> ctxs, const Config& cfg) {
   // ---- Build-probe phase: every executor joins its partition locally.
   const sim::Time t1 = eng.now();
   // One slot per executor, written only from that executor's lane; summed
-  // in index order after the run (shard-layout independent).
+  // in index order after the run.
   std::vector<std::uint64_t> matches(cfg.executors, 0);
   sim::CountdownLatch done(eng, cfg.executors);
   std::vector<std::unique_ptr<ConcurrentHashMap>> maps;

@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "util/env.hpp"
-
 namespace rdmasem::cluster {
-
-namespace {
-// RDMASEM_SHARDS: worker-shard count for the parallel engine. 1 (the
-// default) is the classic single-threaded simulator; values are clamped
-// to [1, machines] — more shards than machines would leave workers idle.
-std::uint32_t shard_count(std::uint32_t machines) {
-  const std::uint64_t req = util::env_u64("RDMASEM_SHARDS", 1);
-  const std::uint64_t cap = machines == 0 ? 1 : machines;
-  return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(req, 1, cap));
-}
-}  // namespace
 
 Machine::Machine(sim::Engine& engine, const hw::ModelParams& params,
                  MachineId id)
@@ -41,12 +28,10 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
   // Lane topology: lane 0 is the driver, lane m+1 is machine m. Each
   // lane's affinity group is its machine's leaf switch (the driver rides
   // with machine 0's leaf), and the group latency matrix is the minimum
-  // hop_latency over the machine pairs of the two leaves — so the
-  // engine's per-(src,dst)-shard lookahead matrix (= the conservative
-  // epoch widths) is derived from the same function the fabric charges
-  // per message, and no event can ever cross shards inside an epoch.
-  // With the default flat fabric this collapses to one group at
-  // net_propagation + net_switch_hop, the classic global lookahead.
+  // hop_latency over the machine pairs of the two leaves — so settle()
+  // and the home-lane sync primitives route with the same latency the
+  // fabric charges per message. With the default flat fabric this
+  // collapses to one group at net_propagation + net_switch_hop.
   const std::uint32_t lanes = params.machines + 1;
   sim::LaneTopology topo;
   std::uint32_t groups = 1;
@@ -70,8 +55,7 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
   // the flat-fabric latency so the engine still has a nonzero lookahead.
   for (auto& lat : topo.group_latency)
     if (lat == kUnset) lat = base;
-  engine_.configure_lanes(lanes, shard_count(params.machines),
-                          std::move(topo));
+  engine_.configure_lanes(lanes, std::move(topo));
   faults_.set_lanes(lanes);
   obs_.tracer.set_lanes(lanes);
   machines_.reserve(params.machines);

@@ -154,14 +154,13 @@ class FaultState {
   std::uint64_t active_ = 0;
 };
 
-// FaultDomain — one FaultState replica per engine lane. Under
-// RDMASEM_SHARDS > 1 the fabric consults the fault picture from worker
-// threads; instead of locking one shared state, the injector applies every
-// fault edge to every replica (as an engine event on that lane, at the
-// fault's virtual time), and each lane reads only its own copy. All
-// replicas therefore agree at every virtual instant while no cache line
-// is ever shared between lanes. With one lane (the default) this is
-// exactly the old single-state behavior.
+// FaultDomain — one FaultState replica per engine lane. The injector
+// applies every fault edge to every replica, as an engine event on that
+// lane at the fault's virtual time, and each lane reads only its own
+// copy, so all replicas agree at every virtual instant. The per-lane edge
+// events are part of the engine's (at, key) order: one shared state
+// would save them but change event counts and tie order. With one lane
+// this is exactly a single shared state.
 class FaultDomain {
  public:
   FaultDomain(std::uint32_t machines, std::uint32_t ports_per_machine)

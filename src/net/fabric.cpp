@@ -12,13 +12,13 @@ Fabric::Fabric(sim::Engine& engine, const hw::ModelParams& params,
     tx_.push_back(std::make_unique<sim::Resource>(engine_, 1, "link_tx"));
     rx_.push_back(std::make_unique<sim::Resource>(engine_, 1, "link_rx"));
   }
-  link_drops_ = std::vector<std::atomic<std::uint64_t>>(n);
+  link_drops_.assign(n, 0);
 }
 
 sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
                                  PortId dport, std::size_t payload_bytes) {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
+  ++messages_;
+  bytes_ += payload_bytes;
   const sim::Duration wire = p_.wire_time(payload_bytes);
   if (src == dst && sport == dport) {
     // RNIC-internal loopback: no switch, no cable; just the port turnaround.
@@ -32,12 +32,8 @@ sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
     hop += faults_->current().extra_latency(src, sport, dst, dport);
   co_await tx_link(src, sport).use(wire);
   // Propagation + switching carries execution from the sender's lane to
-  // the receiver's. hop >= hop_latency(src, dst) >= the engine's per-pair
-  // lookahead for the two lanes, which is what makes the cross-shard
-  // landing legal (the lookahead matrix is derived from the same
-  // hop_latency function). On a bare engine (no cluster lanes) the
-  // destination lane collapses to the current one and this is a plain
-  // delay.
+  // the receiver's. On a bare engine (no cluster lanes) the destination
+  // lane collapses to the current one and this is a plain delay.
   const std::uint32_t dst_lane = dst + 1 < engine_.lanes() ? dst + 1 : 0;
   co_await sim::hop(engine_, dst_lane, hop);
   co_await rx_link(dst, dport).use(wire);
@@ -48,8 +44,8 @@ bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {
   if (faults_ != nullptr && faults_->current().active()) {
     const fault::FaultState& st = faults_->current();
     if (st.blocked(src, sport, dst, dport)) {
-      drops_.fetch_add(1, std::memory_order_relaxed);
-      link_drops_[index(src, sport)].fetch_add(1, std::memory_order_relaxed);
+      ++drops_;
+      ++link_drops_[index(src, sport)];
       return true;  // no path: crashed node, dead link or partition
     }
     const double burst = st.loss_override(src, sport, dst, dport);
@@ -58,8 +54,8 @@ bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {
   if (prob <= 0.0) return false;
   const bool lost = engine_.rng().chance(prob);
   if (lost) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
-    link_drops_[index(src, sport)].fetch_add(1, std::memory_order_relaxed);
+    ++drops_;
+    ++link_drops_[index(src, sport)];
   }
   return lost;
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,12 +26,10 @@ using PortId = std::uint32_t;
 // Bandwidth contention on a host link therefore emerges when several QPs
 // mapped to the same port transmit simultaneously.
 //
-// Under RDMASEM_SHARDS > 1, transit is also where execution migrates
-// between lanes: tx serialization runs on the sender machine's lane, the
-// propagation+switch hop is a sim::hop() onto the receiver's lane, and rx
-// serialization runs there. The hop latency (net_propagation +
-// net_switch_hop) is the engine's lookahead, so every cross-shard event
-// lands at least one epoch ahead — the conservative-sync guarantee.
+// Transit is also where execution migrates between lanes: tx
+// serialization runs on the sender machine's lane, the propagation+switch
+// hop is a sim::hop() onto the receiver's lane, and rx serialization runs
+// there.
 class Fabric {
  public:
   Fabric(sim::Engine& engine, const hw::ModelParams& params,
@@ -61,15 +58,13 @@ class Fabric {
   sim::Resource& tx_link(MachineId m, PortId p) { return *tx_[index(m, p)]; }
   sim::Resource& rx_link(MachineId m, PortId p) { return *rx_[index(m, p)]; }
 
-  std::uint64_t messages() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  std::uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
+  std::uint64_t messages() const { return messages_; }
+  std::uint64_t bytes() const { return bytes_; }
+  std::uint64_t drops() const { return drops_; }
   // Drops attributed to the (m, p) -> switch uplink (the sender side of
   // the lost transit). Sums to drops() across all links.
   std::uint64_t link_drops(MachineId m, PortId p) const {
-    return link_drops_[index(m, p)].load(std::memory_order_relaxed);
+    return link_drops_[index(m, p)];
   }
 
  private:
@@ -83,12 +78,10 @@ class Fabric {
   std::vector<std::unique_ptr<sim::Resource>> tx_;
   std::vector<std::unique_ptr<sim::Resource>> rx_;
   const fault::FaultDomain* faults_ = nullptr;
-  // Relaxed atomics: every lane's transits bump these; totals commute, so
-  // post-run reads are shard-count-invariant.
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> drops_{0};
-  std::vector<std::atomic<std::uint64_t>> link_drops_;  // indexed like tx_
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t drops_ = 0;
+  std::vector<std::uint64_t> link_drops_;  // indexed like tx_
 };
 
 }  // namespace rdmasem::net

@@ -30,8 +30,8 @@ struct Hub {
   Counter& backoff_ps;         // total retransmit backoff (picoseconds)
   Counter& rnr_naks;           // SEND receiver-not-ready NAK rounds
   // verbs datapath: payload staging routes. Deterministic predicates of
-  // the WR shape (NOT freelist state, which depends on thread placement),
-  // so the values are shard-count invariant:
+  // the WR shape (NOT freelist state, which depends on what earlier runs
+  // on the thread left in the pools):
   //   zero_copy_wrs     — payloads carried as a borrowed MR view
   //   payload_pool_hits — staged through an O(1) route (inline arm or
   //                       pooled size class)

@@ -80,8 +80,7 @@ std::string StageBreakdown::render() const {
 
 std::vector<Span> Tracer::spans() const {
   // Concatenate lanes in lane order, then stable-sort by begin time: both
-  // steps are pure functions of the per-lane sequences, so the merged
-  // order is identical for every shard count.
+  // steps are pure functions of the per-lane sequences.
   std::vector<Span> out;
   std::size_t total = 0;
   for (const auto& ln : lanes_) total += ln.spans.size();

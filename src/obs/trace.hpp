@@ -93,11 +93,10 @@ struct StageBreakdown {
 // the virtual-clock timeline (the zero-cost contract, asserted by
 // obs_test.cpp and the determinism suites).
 //
-// Spans land in PER-LANE buffers indexed by sim::current_lane(), so
-// worker shards record without synchronization and — because each lane's
-// span sequence is deterministic whatever the shard count — every export
-// (chrome_json, breakdown, drain order) is shard-count-invariant: lanes
-// are concatenated in lane order and stable-sorted by begin time.
+// Spans land in PER-LANE buffers indexed by sim::current_lane(). Every
+// export (chrome_json, breakdown, drain order) concatenates lanes in lane
+// order and stable-sorts by begin time, so it is a pure function of the
+// per-lane span sequences.
 class Tracer {
  public:
   // Pre-interned attribution pseudo-resources: kResLatency covers fixed
@@ -174,7 +173,7 @@ class Tracer {
     return n;
   }
   // Attribution spans, merged with the same lane-concat + stable-sort
-  // recipe as spans() — shard-count-invariant for the same reason.
+  // recipe as spans().
   std::vector<AttrSpan> attr_spans() const;
   std::uint64_t attr_dropped() const {
     std::uint64_t n = 0;
@@ -190,13 +189,11 @@ class Tracer {
   StageBreakdown breakdown() const;
   // Chrome trace-event JSON ({"traceEvents":[...]}), loadable by
   // Perfetto (ui.perfetto.dev) and chrome://tracing. Byte-deterministic
-  // for identical runs, whatever RDMASEM_SHARDS is.
+  // for identical runs.
   std::string chrome_json() const;
 
  private:
-  // Cache-line aligned so two lanes appending concurrently do not share
-  // a line through the vector headers.
-  struct alignas(64) LaneBuf {
+  struct LaneBuf {
     std::vector<Span> spans;
     std::uint64_t dropped = 0;
     std::vector<AttrSpan> attrs;

@@ -3,7 +3,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
-#include <mutex>
 #include <utility>
 
 #include "sim/frame_pool.hpp"
@@ -28,25 +27,10 @@ template <typename T>
 class TaskT;
 
 // Engine-side registry of live detached coroutine frames, so frames still
-// suspended at engine teardown can be reclaimed. Mutex-guarded because a
-// frame spawned on one shard can finish on another after a fabric hop
-// (parallel runs); the engine keeps one registry per shard so the lock is
-// uncontended in the common same-shard case. Backed by a flat open-
-// addressing PtrSet: spawn/finish is once per work request, and a node-
-// based set would put one heap allocation on that path.
-struct DetachedRegistry {
-  std::mutex mu;
-  util::PtrSet frames;
-
-  void insert(void* p) {
-    std::lock_guard<std::mutex> lock(mu);
-    frames.insert(p);
-  }
-  void erase(void* p) {
-    std::lock_guard<std::mutex> lock(mu);
-    frames.erase(p);
-  }
-};
+// suspended at engine teardown can be reclaimed. A flat open-addressing
+// PtrSet: spawn/finish is once per work request, and a node-based set
+// would put one heap allocation on that path.
+using DetachedRegistry = util::PtrSet;
 
 namespace detail {
 

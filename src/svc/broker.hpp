@@ -80,7 +80,7 @@ struct SubmitResult {
 // the virtual clock (the pool semaphore and the GCRA bucket are both
 // FIFO per lane, and same-instant arrivals dispatch in the engine's
 // deterministic per-lane sequence order). Token maturities are computed,
-// never sampled, so every shard count replays the same admissions.
+// never sampled, so every replay makes the same admissions.
 //
 // Every pooled QP must belong to the same Context (one broker per host);
 // the tenant->broker handoff charges one cpu_ipc shared-memory hop.

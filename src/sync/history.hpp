@@ -12,7 +12,7 @@ namespace rdmasem::sync {
 // records its operations into a private per-worker log (no cross-worker
 // synchronization, so recording cannot perturb the run), and merged()
 // produces ONE canonical order — a pure function of virtual timestamps
-// and worker ids — that is byte-identical at every RDMASEM_SHARDS setting.
+// and worker ids — that is byte-identical across replays.
 // The merged history feeds the linearizability / serializability checkers
 // (sync/checker.hpp).
 
@@ -49,11 +49,10 @@ class HistoryRecorder {
   std::size_t total_ops() const;
 
   // Canonical merge: sorted by (invoke, response, worker, per-worker
-  // sequence). Stable across shard counts because every component is.
+  // sequence). Deterministic because every component is.
   std::vector<Op> merged() const;
 
-  // One line per op — the byte-identity digest tests compare across
-  // shard counts.
+  // One line per op — the byte-identity digest the replay tests compare.
   std::string render() const;
 
  private:

@@ -56,8 +56,8 @@ double Samples::percentile(double p) const {
 
 void Log2Histogram::add(std::uint64_t v) {
   const std::size_t b = v == 0 ? 0 : static_cast<std::size_t>(std::bit_width(v));
-  counts_[std::min(b, kBuckets - 1)].fetch_add(1, std::memory_order_relaxed);
-  total_.fetch_add(1, std::memory_order_relaxed);
+  ++counts_[std::min(b, kBuckets - 1)];
+  ++total_;
 }
 
 std::uint64_t Log2Histogram::quantile_bound(double q) const {

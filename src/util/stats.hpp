@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -52,32 +51,24 @@ class Samples {
 };
 
 // Fixed-bucket log2 histogram for latency distributions (nanosecond inputs).
-// add() is safe from concurrent recorders (relaxed atomics — bucket totals
-// commute, so the final distribution is independent of interleaving);
-// readers are expected to run after recorders have quiesced.
 class Log2Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
 
   void add(std::uint64_t v);
-  std::uint64_t count() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bucket(std::size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
+  std::uint64_t count() const { return total_; }
+  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
   // Upper bound of the bucket that contains the q-quantile (q in [0,1]).
   std::uint64_t quantile_bound(double q) const;
-  // Zeroes every bucket. Only valid after recorders have quiesced (same
-  // contract as the readers above).
+  // Zeroes every bucket.
   void reset() {
-    for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
+    for (auto& c : counts_) c = 0;
+    total_ = 0;
   }
 
  private:
-  std::atomic<std::uint64_t> counts_[kBuckets] = {};
-  std::atomic<std::uint64_t> total_{0};
+  std::uint64_t counts_[kBuckets] = {};
+  std::uint64_t total_ = 0;
 };
 
 }  // namespace rdmasem::util

@@ -89,8 +89,8 @@ class PayloadBuf {
   }
   Route route() const { return route_; }
   // Whether this staging route is pool-accelerated (inline arm or pooled
-  // size class) — a pure predicate of the size, deterministic across
-  // shard placements, which is what the obs counters require.
+  // size class) — a pure predicate of the size, independent of pool
+  // state, which is what the obs counters require.
   bool pool_hit() const { return route_ == Route::kInline || route_ == Route::kPooled; }
 
   void reset() noexcept;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -76,9 +75,7 @@ class QueuePair {
   std::size_t recv_queue_depth() const { return recv_queue_.size(); }
   // Failure observability: transport retransmissions performed and WRs
   // (send or recv) flushed with kWrFlushedError.
-  std::uint64_t retransmits() const {
-    return retransmits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t flushed_wrs() const { return flushed_wrs_; }
 
   // The one gather/scatter primitive every payload movement funnels
@@ -113,7 +110,7 @@ class QueuePair {
   // backoff up to cfg_.retry_cnt. Returns false when the leg is lost for
   // good (unreliable transport, or retries exhausted).
   //
-  // Lane contract (the parallel-engine migration protocol): call on the
+  // Lane contract: call on the
   // SOURCE machine's lane. Resumes the caller on the DESTINATION's lane
   // when it returns true (the payload landed there), and on
   // `home_machine`'s lane when it returns false (the requester's timeout
@@ -145,10 +142,9 @@ class QueuePair {
   std::uint32_t outstanding_ = 0;
   std::uint64_t ops_completed_ = 0;
   std::uint64_t bytes_completed_ = 0;
-  // Bumped wherever a drop is discovered (response-leg retransmits count
-  // against the requester QP but fire on the responder's lane), so this
-  // is the one QP statistic that needs to be atomic.
-  std::atomic<std::uint64_t> retransmits_{0};
+  // Bumped wherever a drop is discovered: response-leg retransmits count
+  // against the requester QP but fire on the responder's lane.
+  std::uint64_t retransmits_ = 0;
   std::uint64_t flushed_wrs_ = 0;
   // Post-order counter feeding WorkRequest::trace_seq — the tracer's
   // per-WR identity (wr_id is app-owned and may repeat). Bumped whether

@@ -70,15 +70,14 @@ BenchResult run_closed_loop(sim::Engine& engine, const ClientSpec& spec) {
   RDMASEM_CHECK_MSG(static_cast<bool>(spec.make_wr), "make_wr required");
 
   // One accumulator per client, each written only by that client's lane;
-  // merged in client order after the run so the result is byte-identical
-  // whatever RDMASEM_SHARDS is.
+  // merged in client order after the run.
   const auto n_clients = static_cast<std::uint32_t>(spec.qps.size());
   std::vector<Shared> shs(n_clients);
   sim::CountdownLatch done(engine, n_clients);
   for (std::uint32_t c = 0; c < n_clients; ++c) {
     shs[c].start = engine.now();
-    // Each client drives its QP from the QP's machine lane — the pinning
-    // that lets the parallel engine spread clients across shards.
+    // Each client drives its QP from the QP's machine lane, which keys
+    // its events and picks its RNG stream.
     const std::uint32_t lane = spec.qps[c]->context().machine().id() + 1;
     engine.spawn_on(lane, client_loop(engine, spec, c, shs[c], done));
   }

@@ -6,7 +6,7 @@
 // obs::CriticalPath reconciles the two to the picosecond. Plane 2 (host
 // time): RDMASEM_PROF turns on engine host-clock profiling, which must
 // never perturb the virtual timeline — a profiled run is byte-identical
-// to an unprofiled one at every shard count.
+// to an unprofiled one.
 
 #include <gtest/gtest.h>
 
@@ -36,8 +36,7 @@ using rdmasem::test::Testbed;
 namespace {
 
 // Pins one environment knob for the lifetime of a run (the engine reads
-// RDMASEM_PROF and the cluster reads RDMASEM_SHARDS at construction) and
-// restores the previous value after.
+// RDMASEM_PROF at construction) and restores the previous value after.
 class EnvVar {
  public:
   EnvVar(const char* key, const std::string& value) : key_(key) {
@@ -79,8 +78,7 @@ struct TracedRun {
   std::uint64_t closed = 0;
 };
 
-TracedRun traced_run(std::uint32_t shards, bool profiled, bool lossy) {
-  EnvVar shard_env("RDMASEM_SHARDS", std::to_string(shards));
+TracedRun traced_run(bool profiled, bool lossy) {
   EnvVar prof_env("RDMASEM_PROF", profiled ? "1" : "0");
   Testbed tb;
   EXPECT_EQ(tb.eng.profiling(), profiled);
@@ -232,7 +230,7 @@ TEST(CriticalPath, TwoQpFifoWaitIsPredecessorsService) {
 }
 
 TEST(CriticalPath, ReconcilesMixedOpcodesUnderLoss) {
-  const TracedRun run = traced_run(1, /*profiled=*/false, /*lossy=*/true);
+  const TracedRun run = traced_run(/*profiled=*/false, /*lossy=*/true);
   EXPECT_EQ(run.closed, 360u);  // 3 clients x 120 ops
   EXPECT_EQ(run.cpath.mismatched_wrs(), 0u);
   EXPECT_EQ(run.cpath.reconciled_wrs(), run.closed);
@@ -311,47 +309,36 @@ TEST(CriticalPath, StageTotalsMatchTracerBreakdown) {
   EXPECT_EQ(folded.grand_total(), ref.grand_total());
 }
 
-TEST(TwoPlane, ProfiledRunsByteIdenticalAtEveryShardCount) {
-  const TracedRun baseline =
-      traced_run(1, /*profiled=*/false, /*lossy=*/true);
+TEST(TwoPlane, ProfiledRunByteIdenticalToUnprofiled) {
+  const TracedRun baseline = traced_run(/*profiled=*/false, /*lossy=*/true);
   EXPECT_FALSE(baseline.profile.enabled);
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    for (const bool profiled : {false, true}) {
-      const TracedRun run = traced_run(shards, profiled, /*lossy=*/true);
-      EXPECT_EQ(run.digest, baseline.digest)
-          << "shards=" << shards << " profiled=" << profiled;
-      EXPECT_EQ(run.profile.enabled, profiled);
-    }
-  }
+  const TracedRun profiled = traced_run(/*profiled=*/true, /*lossy=*/true);
+  EXPECT_TRUE(profiled.profile.enabled);
+  EXPECT_EQ(profiled.digest, baseline.digest);
 }
 
 TEST(TwoPlane, EngineProfileAccountsForHostTime) {
-  const TracedRun run = traced_run(4, /*profiled=*/true, /*lossy=*/false);
+  const TracedRun run = traced_run(/*profiled=*/true, /*lossy=*/false);
   const sim::EngineProfile& p = run.profile;
   ASSERT_TRUE(p.enabled);
-  EXPECT_EQ(p.shards, 4u);
   EXPECT_GE(p.runs, 1u);
-  ASSERT_EQ(p.shard.size(), 4u);
-  std::uint64_t events = 0;
-  for (const auto& row : p.shard) {
-    events += row.events;
-    EXPECT_GE(row.wall_ns, row.dispatch_ns);
-    EXPECT_GT(row.epochs, 0u);
-  }
-  EXPECT_GT(events, 0u);
+  ASSERT_EQ(p.shard.size(), 1u);
+  EXPECT_GT(p.shard[0].events, 0u);
+  EXPECT_GE(p.shard[0].wall_ns, p.shard[0].dispatch_ns);
 
   obs::EngineProfileAccum accum;
   accum.absorb(p);
   ASSERT_FALSE(accum.empty());
   const std::string json = accum.json();
-  EXPECT_NE(json.find("rdmasem-engine-profile-v1"), std::string::npos);
-  EXPECT_NE(json.find("\"shards\": 4"), std::string::npos);
+  EXPECT_NE(json.find("rdmasem-engine-profile-v2"), std::string::npos);
+  EXPECT_NE(json.find("\"runs\": " + std::to_string(p.runs)),
+            std::string::npos);
   EXPECT_FALSE(accum.render().empty());
 
   // Disabled snapshots are skipped: the accumulator (and hence the bench
   // report section) stays empty for unprofiled runs.
   obs::EngineProfileAccum off;
-  const TracedRun cold = traced_run(1, /*profiled=*/false, /*lossy=*/false);
+  const TracedRun cold = traced_run(/*profiled=*/false, /*lossy=*/false);
   off.absorb(cold.profile);
   EXPECT_TRUE(off.empty());
 }
@@ -373,6 +360,5 @@ TEST(TwoPlane, DrainProfileStartsAFreshWindow) {
   // Nothing ran since the drain: the next window is empty.
   const sim::EngineProfile second = eng.drain_profile();
   EXPECT_EQ(second.shard[0].events, 0u);
-  EXPECT_EQ(second.shard[0].epochs, 0u);
   EXPECT_EQ(second.runs, 0u);
 }

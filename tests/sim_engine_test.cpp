@@ -87,6 +87,66 @@ TEST(Engine, ProcessedCounter) {
   EXPECT_EQ(e.events_processed(), 7u);
 }
 
+namespace {
+
+// Two leaf groups of two lanes each (driver rides group 0), with an
+// ASYMMETRIC cross-group matrix: group 0 -> 1 is cheaper than 1 -> 0.
+sim::LaneTopology two_leaf_topo() {
+  sim::LaneTopology topo;
+  topo.groups = 2;
+  topo.lane_group = {0, 0, 1, 1};
+  topo.group_latency = {sim::ns(200), sim::ns(500), sim::ns(700),
+                        sim::ns(200)};
+  return topo;
+}
+
+}  // namespace
+
+TEST(Engine, LookaheadReadsBackGroupMatrix) {
+  // Intra-group pairs see the diagonal; cross-group pairs the off-diagonal
+  // for their direction.
+  sim::Engine e;
+  e.configure_lanes(4, two_leaf_topo());
+  EXPECT_EQ(e.lookahead(0, 1), sim::ns(200));
+  EXPECT_EQ(e.lookahead(2, 3), sim::ns(200));
+  EXPECT_EQ(e.lookahead(0, 2), sim::ns(500));
+  EXPECT_EQ(e.lookahead(1, 3), sim::ns(500));
+  EXPECT_EQ(e.lookahead(2, 0), sim::ns(700));
+  EXPECT_EQ(e.lookahead(3, 1), sim::ns(700));
+}
+
+TEST(Engine, UniformTopologyCollapsesToSetLookahead) {
+  // set_lookahead works before or after configure_lanes.
+  sim::Engine before;
+  before.set_lookahead(sim::ns(300));
+  before.configure_lanes(5);
+  sim::Engine after;
+  after.configure_lanes(5);
+  after.set_lookahead(sim::ns(300));
+  for (std::uint32_t a = 0; a < 5; ++a)
+    for (std::uint32_t b = 0; b < 5; ++b) {
+      EXPECT_EQ(before.lookahead(a, b), sim::ns(300));
+      EXPECT_EQ(after.lookahead(a, b), sim::ns(300));
+    }
+}
+
+TEST(EngineDeathTest, ConfigureLanesRejectsMismatchedSizes) {
+  EXPECT_DEATH(
+      {
+        sim::Engine e;
+        e.configure_lanes(3, two_leaf_topo());  // 4 lane groups for 3 lanes
+      },
+      "lane_group size mismatch");
+  EXPECT_DEATH(
+      {
+        sim::Engine e;
+        sim::LaneTopology topo = two_leaf_topo();
+        topo.group_latency.pop_back();  // 3 entries for 2 x 2 groups
+        e.configure_lanes(4, std::move(topo));
+      },
+      "group_latency size mismatch");
+}
+
 TEST(Resource, SingleServerSerializes) {
   sim::Engine e;
   sim::Resource r(e, 1);

@@ -3,12 +3,11 @@
 // family must uphold its contract — mutual exclusion (disjoint critical
 // sections AND a lossless non-atomic counter), bounded overtaking for the
 // MCS queue, strictly monotone lease epochs — and the whole randomized
-// workload must replay byte-identically at every shard count.
+// workload must replay byte-identically.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -27,26 +26,6 @@ using rdmasem::test::Testbed;
 namespace {
 
 constexpr std::uint32_t kSeeds = 10;
-
-class ShardEnv {
- public:
-  explicit ShardEnv(std::uint32_t shards) {
-    const char* old = std::getenv("RDMASEM_SHARDS");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("RDMASEM_SHARDS", std::to_string(shards).c_str(), 1);
-  }
-  ~ShardEnv() {
-    if (had_)
-      setenv("RDMASEM_SHARDS", saved_.c_str(), 1);
-    else
-      unsetenv("RDMASEM_SHARDS");
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 enum class Mode { kSpin, kMcs, kLease };
 
@@ -69,9 +48,8 @@ struct PropOut {
 // One randomized mutual-exclusion run: `workers` remote clients RMW a
 // non-atomic counter under the chosen lock family with random think/hold
 // times. All randomness comes from per-worker streams seeded off `seed`,
-// so the run is a pure function of (mode, seed, shards).
-PropOut prop_run(Mode mode, std::uint64_t seed, std::uint32_t shards) {
-  ShardEnv env(shards);
+// so the run is a pure function of (mode, seed).
+PropOut prop_run(Mode mode, std::uint64_t seed) {
   Testbed tb;
   sim::Rng shape(seed * 0x9e3779b97f4a7c15ull + 1);
   const std::uint32_t workers = 3 + static_cast<std::uint32_t>(shape.uniform(4));
@@ -208,7 +186,7 @@ void expect_disjoint(const PropOut& r, std::uint64_t seed) {
 
 TEST(SyncProperty, SpinLockMutualExclusionAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const auto r = prop_run(Mode::kSpin, seed, 1);
+    const auto r = prop_run(Mode::kSpin, seed);
     EXPECT_EQ(r.counter, r.expected) << "seed " << seed << ": lost increments";
     expect_disjoint(r, seed);
   }
@@ -216,7 +194,7 @@ TEST(SyncProperty, SpinLockMutualExclusionAcrossSeeds) {
 
 TEST(SyncProperty, McsLockMutualExclusionAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const auto r = prop_run(Mode::kMcs, seed, 1);
+    const auto r = prop_run(Mode::kMcs, seed);
     EXPECT_EQ(r.counter, r.expected) << "seed " << seed << ": lost increments";
     expect_disjoint(r, seed);
   }
@@ -224,7 +202,7 @@ TEST(SyncProperty, McsLockMutualExclusionAcrossSeeds) {
 
 TEST(SyncProperty, LeaseLockMutualExclusionAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const auto r = prop_run(Mode::kLease, seed, 1);
+    const auto r = prop_run(Mode::kLease, seed);
     EXPECT_EQ(r.counter, r.expected) << "seed " << seed << ": lost increments";
     expect_disjoint(r, seed);
   }
@@ -237,7 +215,7 @@ TEST(SyncProperty, McsOvertakingIsBounded) {
   // in flight, and once more at the head of the queue. Unbounded
   // overtaking (the spinlock's failure mode) trips this immediately.
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const auto r = prop_run(Mode::kMcs, seed, 1);
+    const auto r = prop_run(Mode::kMcs, seed);
     for (const auto& a : r.grants) {
       std::vector<std::uint32_t> overtakes(16, 0);
       for (const auto& g : r.grants) {
@@ -258,7 +236,7 @@ TEST(SyncProperty, LeaseEpochsAreStrictlyMonotone) {
   // sequence must be strictly increasing — a repeat or regression is an
   // ABA/takeover bug.
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const auto r = prop_run(Mode::kLease, seed, 1);
+    const auto r = prop_run(Mode::kLease, seed);
     for (std::size_t i = 1; i < r.grants.size(); ++i)
       EXPECT_GT(r.grants[i].epoch, r.grants[i - 1].epoch)
           << "seed " << seed << ": epoch not monotone at grant " << i;
@@ -266,15 +244,13 @@ TEST(SyncProperty, LeaseEpochsAreStrictlyMonotone) {
   }
 }
 
-TEST(SyncProperty, RandomizedRunsAreByteIdenticalAtEveryShardCount) {
+TEST(SyncProperty, RandomizedRunsReplayByteIdentical) {
   // The whole randomized workload — grant order, timestamps, epochs,
-  // event count — replays exactly at shard counts {1, 2, 4, 8}.
+  // event count — replays exactly.
   for (const std::uint64_t seed : {3ull, 7ull}) {
     for (const Mode mode : {Mode::kSpin, Mode::kMcs, Mode::kLease}) {
-      const auto serial = prop_run(mode, seed, 1);
-      for (const std::uint32_t s : {2u, 4u, 8u})
-        EXPECT_EQ(prop_run(mode, seed, s).digest, serial.digest)
-            << "seed " << seed << " shards " << s;
+      EXPECT_EQ(prop_run(mode, seed).digest, prop_run(mode, seed).digest)
+          << "seed " << seed;
     }
   }
 }

@@ -215,8 +215,7 @@ OptReadResult run_opt_read(sy::Variant reader_variant, std::uint32_t readers,
     }
     done.count_down();
   };
-  // Per-reader tallies: workers run on different lanes, so shared
-  // accumulators would race under RDMASEM_SHARDS > 1.
+  // Per-reader tallies, each touched only by its reader's lane.
   std::vector<std::uint64_t> valid(readers, 0), torn(readers, 0);
   auto read_loop = [&](std::uint32_t r) -> sim::Task {
     for (std::uint32_t n = 0; n < reads; ++n) {

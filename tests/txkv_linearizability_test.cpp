@@ -2,13 +2,12 @@
 // flagship app's recorded histories run through both checkers — the
 // Wing & Gong register search on small per-key histories and the
 // scale-free increment audit on everything — for every lock mode, under
-// the chaos/fault battery, and byte-identically at every shard count.
+// the chaos/fault battery, and byte-identically across replays.
 // The correct variant must come out clean everywhere; the broken
 // siblings are hunted in sync_test.cpp's negative matrix.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -27,29 +26,6 @@ namespace sim = rdmasem::sim;
 using rdmasem::test::Testbed;
 
 namespace {
-
-constexpr std::uint32_t kShardCounts[] = {1, 2, 4, 8};
-
-// Pins RDMASEM_SHARDS for one run (clusters read it at construction).
-class ShardEnv {
- public:
-  explicit ShardEnv(std::uint32_t shards) {
-    const char* old = std::getenv("RDMASEM_SHARDS");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("RDMASEM_SHARDS", std::to_string(shards).c_str(), 1);
-  }
-  ~ShardEnv() {
-    if (had_)
-      setenv("RDMASEM_SHARDS", saved_.c_str(), 1);
-    else
-      unsetenv("RDMASEM_SHARDS");
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 std::vector<rdmasem::verbs::Context*> ctx_ptrs(Testbed& tb) {
   std::vector<rdmasem::verbs::Context*> out;
@@ -105,11 +81,9 @@ struct RunOut {
 };
 
 // One full txkv run; the digest folds every observable (history, final
-// cells, virtual clock, event count, cluster stats) so shard-invariance
+// cells, virtual clock, event count, cluster stats) so a replay check
 // is byte-exact.
-RunOut txkv_run(std::uint32_t shards, const kv::Config& cfg, bool chaos,
-                bool battery) {
-  ShardEnv env(shards);
+RunOut txkv_run(const kv::Config& cfg, bool chaos, bool battery) {
   Testbed tb;
   if (chaos) tb.cluster.inject(battery_plan(cfg.seed * 3 + 1, tb));
   kv::TxKv store(ctx_ptrs(tb), cfg);
@@ -147,7 +121,7 @@ kv::Config battery_cfg(kv::LockMode mode) {
 // ------------------------------------------ per-lock-mode serializability
 
 TEST(TxkvLinearizability, SpinLockHistoryPassesTheFullBattery) {
-  const auto r = txkv_run(1, battery_cfg(kv::LockMode::kSpin), false, true);
+  const auto r = txkv_run(battery_cfg(kv::LockMode::kSpin), false, true);
   EXPECT_GT(r.result.commits, 0u);
   EXPECT_GT(r.result.gets, 0u);
   EXPECT_EQ(r.result.dead_workers, 0u);
@@ -155,19 +129,19 @@ TEST(TxkvLinearizability, SpinLockHistoryPassesTheFullBattery) {
 
 TEST(TxkvLinearizability, SpinBackoffHistoryPassesTheFullBattery) {
   const auto r =
-      txkv_run(1, battery_cfg(kv::LockMode::kSpinBackoff), false, true);
+      txkv_run(battery_cfg(kv::LockMode::kSpinBackoff), false, true);
   EXPECT_GT(r.result.commits, 0u);
   EXPECT_EQ(r.result.dead_workers, 0u);
 }
 
 TEST(TxkvLinearizability, McsHistoryPassesTheFullBattery) {
-  const auto r = txkv_run(1, battery_cfg(kv::LockMode::kMcs), false, true);
+  const auto r = txkv_run(battery_cfg(kv::LockMode::kMcs), false, true);
   EXPECT_GT(r.result.commits, 0u);
   EXPECT_EQ(r.result.dead_workers, 0u);
 }
 
 TEST(TxkvLinearizability, LeaseHistoryPassesTheFullBattery) {
-  const auto r = txkv_run(1, battery_cfg(kv::LockMode::kLease), false, true);
+  const auto r = txkv_run(battery_cfg(kv::LockMode::kLease), false, true);
   EXPECT_GT(r.result.commits, 0u);
   EXPECT_EQ(r.result.dead_workers, 0u);
 }
@@ -184,7 +158,6 @@ TEST(TxkvLinearizability, SmallHistoriesLinearizeAsAtomicRegisters) {
   cfg.zipf_theta = 0.6;  // flatter: spread ops under the search bound
   cfg.get_fraction = 0.5;
   cfg.seed = 22;
-  ShardEnv env(1);
   Testbed tb;
   kv::TxKv store(ctx_ptrs(tb), cfg);
   (void)store.run();
@@ -210,7 +183,7 @@ TEST(TxkvLinearizability, ChaosBatteryWithRecoveryLosesNoUpdates) {
   cfg.recover_on_failure = true;
   cfg.retry_cnt = 3;  // surface transport failures into recovery
   cfg.seed = 23;
-  const auto r = txkv_run(1, cfg, true, true);
+  const auto r = txkv_run(cfg, true, true);
   EXPECT_GT(r.result.commits, 0u);
   EXPECT_EQ(r.result.dead_workers, 0u);
 }
@@ -221,50 +194,37 @@ TEST(TxkvLinearizability, ChaosBatteryOnLeaseLocksStaysSerializable) {
   cfg.recover_on_failure = true;
   cfg.retry_cnt = 3;
   cfg.seed = 24;
-  const auto r = txkv_run(1, cfg, true, true);
+  const auto r = txkv_run(cfg, true, true);
   EXPECT_GT(r.result.commits, 0u);
   EXPECT_EQ(r.result.dead_workers, 0u);
 }
 
-// ------------------------------------------------------- shard invariance
+// ------------------------------------------------------------- replays
 
-TEST(TxkvLinearizability, SpinDigestIsByteIdenticalAtEveryShardCount) {
-  const auto serial = txkv_run(1, battery_cfg(kv::LockMode::kSpin), false,
-                               /*battery=*/false);
-  for (const std::uint32_t s : kShardCounts)
-    EXPECT_EQ(
-        txkv_run(s, battery_cfg(kv::LockMode::kSpin), false, false).digest,
-        serial.digest)
-        << "shards=" << s;
+TEST(TxkvLinearizability, SpinDigestReplaysByteIdentical) {
+  const auto cfg = battery_cfg(kv::LockMode::kSpin);
+  EXPECT_EQ(txkv_run(cfg, false, false).digest,
+            txkv_run(cfg, false, false).digest);
 }
 
-TEST(TxkvLinearizability, McsDigestIsByteIdenticalAtEveryShardCount) {
-  const auto serial =
-      txkv_run(1, battery_cfg(kv::LockMode::kMcs), false, false);
-  for (const std::uint32_t s : kShardCounts)
-    EXPECT_EQ(txkv_run(s, battery_cfg(kv::LockMode::kMcs), false, false).digest,
-              serial.digest)
-        << "shards=" << s;
+TEST(TxkvLinearizability, McsDigestReplaysByteIdentical) {
+  const auto cfg = battery_cfg(kv::LockMode::kMcs);
+  EXPECT_EQ(txkv_run(cfg, false, false).digest,
+            txkv_run(cfg, false, false).digest);
 }
 
-TEST(TxkvLinearizability, LeaseDigestIsByteIdenticalAtEveryShardCount) {
-  const auto serial =
-      txkv_run(1, battery_cfg(kv::LockMode::kLease), false, false);
-  for (const std::uint32_t s : kShardCounts)
-    EXPECT_EQ(
-        txkv_run(s, battery_cfg(kv::LockMode::kLease), false, false).digest,
-        serial.digest)
-        << "shards=" << s;
+TEST(TxkvLinearizability, LeaseDigestReplaysByteIdentical) {
+  const auto cfg = battery_cfg(kv::LockMode::kLease);
+  EXPECT_EQ(txkv_run(cfg, false, false).digest,
+            txkv_run(cfg, false, false).digest);
 }
 
-TEST(TxkvLinearizability, ChaosDigestIsByteIdenticalAcrossShards) {
+TEST(TxkvLinearizability, ChaosDigestReplaysByteIdentical) {
   auto cfg = battery_cfg(kv::LockMode::kSpin);
   cfg.ops_per_worker = 24;
   cfg.recover_on_failure = true;
   cfg.retry_cnt = 3;
   cfg.seed = 25;
-  const auto serial = txkv_run(1, cfg, true, false);
-  for (const std::uint32_t s : {2u, 4u, 8u})
-    EXPECT_EQ(txkv_run(s, cfg, true, false).digest, serial.digest)
-        << "shards=" << s;
+  EXPECT_EQ(txkv_run(cfg, true, false).digest,
+            txkv_run(cfg, true, false).digest);
 }
