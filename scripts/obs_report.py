@@ -8,11 +8,15 @@ the exact-picosecond reconciliation status, read from the
 
 Plane 2 (host time): the engine's cost decomposition (the dispatch share
 of wall time), read from an ENGINE_PROFILE.json (or the "engine_profile"
-section of a bench report).
+section of a bench report). Given the battery's BENCH_ALL.json, it also
+prints each bench's whole-process wall, user and sys seconds and peak RSS
+(run_all_benches.py's "host" rows) and flags every bench whose sys time
+exceeds its user time: such a process spends more host time in the
+kernel (page faults, mappings) than in the simulator.
 
 Usage:
   obs_report.py [--engine-profile PATH] [--min-accounted FRACTION]
-                [--top N] [BENCH_foo.json ...]
+                [--top N] [BENCH_foo.json | BENCH_ALL.json ...]
 
 Exits non-zero when a report is malformed, a critical path fails to
 reconcile, or a profile's accounted share falls below
@@ -24,6 +28,7 @@ import json
 import sys
 
 ENGINE_SCHEMA = "rdmasem-engine-profile-v2"
+BENCH_ALL_SCHEMA = "rdmasem-bench-all-v1"
 
 
 def die(msg):
@@ -105,6 +110,22 @@ def report_engine_profile(name, ep, min_accounted):
             f"--min-accounted {min_accounted}")
 
 
+def report_host(name, host):
+    print(f"\n== {name}: whole-process host cost per bench ==")
+    out, flagged = [], []
+    for bench, h in sorted(host.items(),
+                           key=lambda kv: (-kv[1]["wall_s"], kv[0])):
+        flag = "sys>user" if h["sys_s"] > h["user_s"] else ""
+        if flag:
+            flagged.append(bench)
+        out.append([bench, f"{h['wall_s']:.2f}", f"{h['user_s']:.2f}",
+                    f"{h['sys_s']:.2f}", f"{h['maxrss_mib']:.1f}", flag])
+    print(fmt_table(["bench", "wall_s", "user_s", "sys_s", "maxrss_mib",
+                     "flag"], out))
+    print(f"{len(flagged)} of {len(host)} bench(es) flagged sys>user"
+          + (": " + ", ".join(flagged) if flagged else ""))
+
+
 def main(argv):
     ap = argparse.ArgumentParser(
         description=__doc__, add_help=True,
@@ -129,6 +150,15 @@ def main(argv):
                 report = json.load(f)
         except (OSError, ValueError) as e:
             die(f"{path}: {e}")
+        if report.get("schema") == BENCH_ALL_SCHEMA:
+            host = report.get("trajectory", {}).get("host")
+            if host:
+                report_host(path, host)
+                rendered += 1
+            else:
+                print(f"{path}: no per-bench host rows (battery run by a "
+                      "run_all_benches.py without process accounting)")
+            continue
         name = report.get("bench", path)
         rw = report.get("resource_waits")
         if rw:

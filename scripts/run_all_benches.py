@@ -29,6 +29,13 @@ Each row also records two design-quality numbers read from the source
 tree: src_lines (lines of src/**/*.cpp and *.hpp) and env_knobs (distinct
 RDMASEM_* names passed to util::env_* in src/). Both should only go down.
 
+Whole-process host cost: each bench is reaped with os.wait4, and its wall,
+user and sys seconds and peak RSS land in the row under "host" (one entry
+per bench). Host numbers never enter BENCH_<name>.json, whose bytes are a
+deterministic function of the simulation. Peak RSS reads no lower than
+this script's own RSS (about 16 MiB): the kernel counts the child's
+memory image from before its exec.
+
 Shrink knobs: the benches honour the same env as scripts/bench_smoke.cmake
 (RDMASEM_SHUFFLE_ENTRIES etc.).
 
@@ -42,6 +49,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -86,23 +95,41 @@ def discover(bench_dir, with_selfbench):
 
 
 def run_one(bench_dir, out_dir, name, timeout):
-    """-> (name, report_path | None, error | None, seconds)"""
+    """-> (name, report_path | None, error | None, host)
+
+    host holds the bench process's wall, user and sys seconds and its peak
+    RSS, read from os.wait4's rusage for that one child."""
     t0 = time.monotonic()
     env = dict(os.environ, RDMASEM_BENCH_OUT=out_dir)
-    try:
-        proc = subprocess.run(
-            [os.path.join(bench_dir, name)], env=env, timeout=timeout,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    except subprocess.TimeoutExpired:
-        return name, None, f"timed out after {timeout}s", time.monotonic() - t0
-    sec = time.monotonic() - t0
+    timed_out = threading.Event()
+    with tempfile.TemporaryFile() as log:
+        proc = subprocess.Popen([os.path.join(bench_dir, name)], env=env,
+                                stdout=log, stderr=subprocess.STDOUT)
+
+        def kill():
+            timed_out.set()
+            proc.kill()
+
+        timer = threading.Timer(timeout, kill)
+        timer.start()
+        _, status, ru = os.wait4(proc.pid, 0)
+        timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        output = log.read().decode(errors="replace")
+    host = {"wall_s": round(time.monotonic() - t0, 2),
+            "user_s": round(ru.ru_utime, 2),
+            "sys_s": round(ru.ru_stime, 2),
+            "maxrss_mib": round(ru.ru_maxrss / 1024, 1)}  # ru_maxrss: KiB
+    if timed_out.is_set():
+        return name, None, f"timed out after {timeout}s", host
     if proc.returncode != 0:
-        tail = "\n".join(proc.stdout.splitlines()[-10:])
-        return name, None, f"exit {proc.returncode}:\n{tail}", sec
+        tail = "\n".join(output.splitlines()[-10:])
+        return name, None, f"exit {proc.returncode}:\n{tail}", host
     report = os.path.join(out_dir, f"BENCH_{name}.json")
     if not os.path.exists(report):
-        return name, None, "wrote no BENCH json", sec
-    return name, report, None, sec
+        return name, None, "wrote no BENCH json", host
+    return name, report, None, host
 
 
 def main():
@@ -145,17 +172,20 @@ def main():
         futures = [pool.submit(run_one, bench_dir, out_dir, n, args.timeout)
                    for n in names]
         for fut in concurrent.futures.as_completed(futures):
-            name, report, err, sec = fut.result()
+            name, report, err, h = fut.result()
             status = "ok" if err is None else "FAIL"
-            print(f"run_all_benches: {name}: {status} ({sec:.1f}s)")
+            print(f"run_all_benches: {name}: {status} ({h['wall_s']:.1f}s "
+                  f"wall, {h['user_s']:.1f}s user, {h['sys_s']:.1f}s sys, "
+                  f"{h['maxrss_mib']:.0f} MiB)")
             if err is not None:
                 print(f"  {err}", file=sys.stderr)
-            results.append((name, report, err))
+            results.append((name, report, err, h))
     wall = time.monotonic() - t0
 
-    benches, failed = {}, []
+    benches, failed, host = {}, [], {}
     points = rows = 0
-    for name, report, err in sorted(results):
+    for name, report, err, h in sorted(results):
+        host[name] = h
         if err is not None:
             failed.append(name)
             continue
@@ -181,6 +211,7 @@ def main():
         "table_rows": rows,
         "wall_seconds": round(wall, 1),
         "jobs": args.jobs,
+        "host": host,
         **design_quality(),
     }
 

@@ -2,19 +2,11 @@
 
 #include <new>
 
+#include "util/sanitizer.hpp"
+
 // Pass frames straight through to the global allocator under ASan so the
 // sanitizer tracks every coroutine-frame lifetime (poisoning/quarantine
 // would be defeated by recycling).
-#if defined(__SANITIZE_ADDRESS__)
-#define RDMASEM_FRAME_POOL_PASSTHROUGH 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define RDMASEM_FRAME_POOL_PASSTHROUGH 1
-#endif
-#endif
-#ifndef RDMASEM_FRAME_POOL_PASSTHROUGH
-#define RDMASEM_FRAME_POOL_PASSTHROUGH 0
-#endif
 
 namespace rdmasem::sim {
 
@@ -59,7 +51,7 @@ std::size_t class_of(std::size_t bytes) {
 
 void* FramePool::allocate(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
-#if RDMASEM_FRAME_POOL_PASSTHROUGH
+#if RDMASEM_ASAN
   return ::operator new(bytes);
 #else
   Arena& a = arena();
@@ -82,7 +74,7 @@ void* FramePool::allocate(std::size_t bytes) {
 void FramePool::deallocate(void* p, std::size_t bytes) noexcept {
   if (p == nullptr) return;
   if (bytes == 0) bytes = 1;
-#if RDMASEM_FRAME_POOL_PASSTHROUGH
+#if RDMASEM_ASAN
   ::operator delete(p);
 #else
   Arena& a = arena();

@@ -2,9 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <span>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -15,8 +14,19 @@ namespace rdmasem::verbs {
 // registrations can never alias a simulated address.
 inline constexpr std::uint64_t kSimVaBase = 1ull << 46;
 
-// Buffer — aligned host memory suitable for registration as a memory
-// region (the paper allocates RDMA-enabled memory with posix_memalign).
+// Buffer — zero-filled, aligned host memory suitable for registration as
+// a memory region.
+//
+// Host memory comes from one of three tiers chosen by size
+// (docs/PERF.md, "Host memory for registered regions"):
+//   * below kHugePage: the heap (aligned_alloc, then zero-filled);
+//   * kHugePage up to kPrefaultLimit: an anonymous mapping on 2 MiB
+//     pages, pre-faulted by the kernel before the simulation runs;
+//   * above kPrefaultLimit: an anonymous mapping left lazy, so pages the
+//     simulation never touches never become resident.
+// Residency is host cost only: the model charges translation in
+// hw::MetadataCache and never reads where the bytes live. Under ASan every
+// size takes the heap tier so redzones cover registered memory.
 //
 // The address handed to the RDMA layer (addr()) is NOT the host pointer:
 // it comes from a deterministic, monotonically-growing simulated address
@@ -28,27 +38,22 @@ inline constexpr std::uint64_t kSimVaBase = 1ull << 46;
 // a guard row, so distinct buffers never share a page, row or cache line.
 class Buffer {
  public:
+  static constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  static constexpr std::size_t kPrefaultLimit = std::size_t{16} << 20;
+
   Buffer() = default;
-  explicit Buffer(std::size_t size, std::size_t alignment = 8192)
-      : size_(size) {
-    if (size == 0) return;
-    // Round the allocation size up to the alignment (aligned_alloc
-    // requirement).
-    const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-    data_ = static_cast<std::byte*>(std::aligned_alloc(alignment, rounded));
-    RDMASEM_CHECK_MSG(data_ != nullptr, "buffer allocation failed");
-    std::memset(data_, 0, rounded);
-    sim_addr_ = take_sim_va(rounded, alignment);
-  }
+  explicit Buffer(std::size_t size, std::size_t alignment = 8192);
   Buffer(Buffer&& o) noexcept
       : data_(std::exchange(o.data_, nullptr)),
         size_(std::exchange(o.size_, 0)),
+        mapped_(std::exchange(o.mapped_, 0)),
         sim_addr_(std::exchange(o.sim_addr_, 0)) {}
   Buffer& operator=(Buffer&& o) noexcept {
     if (this != &o) {
       release();
       data_ = std::exchange(o.data_, nullptr);
       size_ = std::exchange(o.size_, 0);
+      mapped_ = std::exchange(o.mapped_, 0);
       sim_addr_ = std::exchange(o.sim_addr_, 0);
     }
     return *this;
@@ -71,25 +76,13 @@ class Buffer {
   }
 
  private:
-  // Process-wide bump allocator for the simulated address space. Addresses
-  // depend only on the sequence of Buffer constructions, which the
-  // single-threaded deterministic simulation fully determines.
-  static std::uint64_t take_sim_va(std::size_t rounded,
-                                   std::size_t alignment) {
-    static std::uint64_t cursor = kSimVaBase;
-    if (alignment < 8192) alignment = 8192;
-    cursor = (cursor + alignment - 1) / alignment * alignment;
-    const std::uint64_t va = cursor;
-    cursor += rounded + 8192;  // guard row between buffers
-    return va;
-  }
+  // Process-wide bump allocator for the simulated address space.
+  static std::uint64_t take_sim_va(std::size_t rounded, std::size_t alignment);
+  void release() noexcept;
 
-  void release() {
-    std::free(data_);
-    data_ = nullptr;
-  }
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t mapped_ = 0;  // length of the mapping; 0 for a heap block
   std::uint64_t sim_addr_ = 0;
 };
 

@@ -3,20 +3,11 @@
 #include <new>
 
 #include "hw/params.hpp"
+#include "util/sanitizer.hpp"
 
 // Pass staging buffers straight through to the global allocator under
 // ASan so the sanitizer tracks every buffer lifetime (poisoning would be
 // defeated by recycling). Mirrors FramePool.
-#if defined(__SANITIZE_ADDRESS__)
-#define RDMASEM_PAYLOAD_POOL_PASSTHROUGH 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define RDMASEM_PAYLOAD_POOL_PASSTHROUGH 1
-#endif
-#endif
-#ifndef RDMASEM_PAYLOAD_POOL_PASSTHROUGH
-#define RDMASEM_PAYLOAD_POOL_PASSTHROUGH 0
-#endif
 
 namespace rdmasem::verbs {
 
@@ -64,7 +55,7 @@ std::size_t class_of(std::size_t bytes) {
 
 std::byte* PayloadPool::acquire(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
-#if RDMASEM_PAYLOAD_POOL_PASSTHROUGH
+#if RDMASEM_ASAN
   return static_cast<std::byte*>(::operator new(bytes));
 #else
   Arena& a = arena();
@@ -87,7 +78,7 @@ std::byte* PayloadPool::acquire(std::size_t bytes) {
 void PayloadPool::release(std::byte* p, std::size_t bytes) noexcept {
   if (p == nullptr) return;
   if (bytes == 0) bytes = 1;
-#if RDMASEM_PAYLOAD_POOL_PASSTHROUGH
+#if RDMASEM_ASAN
   ::operator delete(p);
 #else
   Arena& a = arena();

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "testbed.hpp"
+#include "util/sanitizer.hpp"
 
 namespace v = rdmasem::verbs;
 namespace sim = rdmasem::sim;
@@ -369,4 +373,172 @@ TEST(VerbsLoopback, SameMachineWriteWorks) {
   }(tb, conn.local, lmr, rmr));
 
   EXPECT_EQ(std::memcmp(dst.data(), "loop", 4), 0);
+}
+
+namespace {
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+constexpr std::size_t kGiB = std::size_t{1} << 30;
+
+// True when every byte of `b` reads zero. Above the prefault limit one
+// byte per 2 MiB (and the last byte) is read, so the check itself makes
+// neither the lazy mapping nor a sanitizer's shadow of it resident.
+bool reads_zero(const v::Buffer& b) {
+  const std::size_t stride =
+      b.size() > v::Buffer::kPrefaultLimit ? v::Buffer::kHugePage : 1;
+  const std::byte* p = b.data();
+  for (std::size_t off = 0; off < b.size(); off += stride)
+    if (p[off] != std::byte{0}) return false;
+  return p[b.size() - 1] == std::byte{0};
+}
+
+// Whether a Buffer of `size` bytes gets a mapping of its own (the
+// pre-faulted and lazy tiers). Under ASan every size is a heap block.
+bool own_mapping(std::size_t size) {
+  return !RDMASEM_ASAN && size >= v::Buffer::kHugePage;
+}
+
+// Whether [p, p + len) is mapped: msync fails with ENOMEM on any
+// unmapped page.
+bool is_mapped(const std::byte* p, std::size_t len) {
+  return ::msync(const_cast<std::byte*>(p), len, MS_ASYNC) == 0;
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return 0;
+  unsigned long total = 0, resident = 0;
+  EXPECT_EQ(std::fscanf(f, "%lu %lu", &total, &resident), 2);
+  std::fclose(f);
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+std::size_t growth(std::size_t before, std::size_t after) {
+  return after > before ? after - before : 0;
+}
+
+}  // namespace
+
+TEST(VerbsBuffer, ZeroFilledAndAlignedInEveryTier) {
+  // Each side of both tier boundaries, plus a 1 GiB lazy region.
+  const std::size_t sizes[] = {1,
+                               v::Buffer::kHugePage - 1,
+                               v::Buffer::kHugePage,
+                               v::Buffer::kHugePage + 1,
+                               v::Buffer::kPrefaultLimit,
+                               v::Buffer::kPrefaultLimit + 1,
+                               kGiB};
+  const std::size_t alignments[] = {64, 8192, v::Buffer::kHugePage};
+  for (std::size_t size : sizes) {
+    for (std::size_t align : alignments) {
+      v::Buffer b(size, align);
+      ASSERT_NE(b.data(), nullptr) << size << "/" << align;
+      EXPECT_EQ(b.size(), size);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % align, 0u)
+          << size << "/" << align;
+      EXPECT_TRUE(reads_zero(b)) << size << "/" << align;
+      b.data()[0] = std::byte{1};
+      b.data()[size - 1] = std::byte{2};
+      EXPECT_EQ(b.data()[size - 1], std::byte{2});
+    }
+  }
+}
+
+TEST(VerbsBuffer, MovesCarryOwnershipAcrossTiers) {
+  const std::size_t sizes[] = {4096, 4 * kMiB, 32 * kMiB};  // one per tier
+  for (std::size_t from : sizes) {
+    for (std::size_t to : sizes) {
+      std::byte* p = nullptr;
+      {
+        v::Buffer src(from);
+        p = src.data();
+        p[from - 1] = std::byte{0x5a};
+        const std::uint64_t va = src.addr();
+
+        v::Buffer moved(std::move(src));
+        EXPECT_EQ(src.data(), nullptr);
+        EXPECT_EQ(src.size(), 0u);
+        EXPECT_EQ(src.addr(), 0u);
+        EXPECT_EQ(moved.data(), p);
+        EXPECT_EQ(moved.addr(), va);
+
+        v::Buffer dst(to);
+        std::byte* const old = dst.data();
+        dst = std::move(moved);  // releases dst's own memory, once
+        EXPECT_EQ(moved.data(), nullptr);
+        EXPECT_EQ(moved.size(), 0u);
+        EXPECT_EQ(dst.data(), p);
+        EXPECT_EQ(dst.size(), from);
+        EXPECT_EQ(dst.addr(), va);
+        if (own_mapping(to)) {
+          EXPECT_FALSE(is_mapped(old, to)) << to;
+        }
+
+        v::Buffer& alias = dst;
+        dst = std::move(alias);  // self-move keeps the memory
+        EXPECT_EQ(dst.data(), p);
+        EXPECT_EQ(dst.size(), from);
+        EXPECT_EQ(dst.data()[from - 1], std::byte{0x5a});
+        if (own_mapping(from)) {
+          EXPECT_TRUE(is_mapped(p, from));
+        }
+      }
+      if (own_mapping(from)) {
+        EXPECT_FALSE(is_mapped(p, from)) << from;
+      }
+    }
+  }
+}
+
+TEST(VerbsBuffer, SimulatedAddressesArePinned) {
+  // Offsets from the first buffer's address. The host memory tier decides
+  // where a buffer's bytes live, never which simulated address it gets, so
+  // these stay fixed across tiers. The first buffer is 2 MiB aligned and
+  // no later alignment exceeds it, so the offsets do not depend on how
+  // many buffers this process built before.
+  struct Step {
+    std::size_t size, alignment;
+    std::uint64_t offset;
+  };
+  const Step steps[] = {
+      {2 * kMiB, 2 * kMiB, 0x0},
+      {100, 64, 0x202000},
+      {4096, 8192, 0x206000},
+      {2 * kMiB - 1, 8192, 0x20a000},
+      {2 * kMiB, 8192, 0x40c000},
+      {16 * kMiB, 8192, 0x60e000},
+      {16 * kMiB + 1, 8192, 0x1610000},
+      {12345, 2 * kMiB, 0x2800000},
+      {kGiB, 8192, 0x2a02000},
+      {3 * 8192, 8192, 0x42a04000},
+      {2 * kMiB + 1, 2 * kMiB, 0x42c00000},
+  };
+  std::uint64_t base = 0;
+  for (const Step& s : steps) {
+    v::Buffer b(s.size, s.alignment);
+    if (base == 0) base = b.addr();
+    EXPECT_GE(b.addr(), v::kSimVaBase);
+    EXPECT_EQ(b.addr() - base, s.offset) << s.size << "/" << s.alignment;
+  }
+}
+
+TEST(VerbsBuffer, PrefaultTierIsResidentOnReturn) {
+  const std::size_t size = 8 * kMiB;
+  const std::size_t before = resident_bytes();
+  v::Buffer b(size);
+  EXPECT_GE(growth(before, resident_bytes()), size - kMiB);
+}
+
+TEST(VerbsBuffer, LazyTierLeavesUntouchedPagesNonResident) {
+  if (RDMASEM_ASAN)
+    GTEST_SKIP() << "ASan build: every Buffer takes the heap tier, which "
+                    "zero-fills (and so makes resident) all of it";
+  const std::size_t before = resident_bytes();
+  v::Buffer b(kGiB);
+  b.data()[kGiB / 2] = std::byte{1};
+  const std::size_t grown = growth(before, resident_bytes());
+  EXPECT_LT(grown, 16 * kMiB) << "1 GiB buffer made " << grown
+                              << " bytes resident";
 }
