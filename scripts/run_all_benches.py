@@ -36,6 +36,13 @@ deterministic function of the simulation. Peak RSS reads no lower than
 this script's own RSS (about 16 MiB): the kernel counts the child's
 memory image from before its exec.
 
+Effective cores: right before the battery starts, a spin probe runs one
+calibrated pure-Python spin alone, then the same spin in one process per
+job at once, and records how many cores' worth of progress those
+processes made together as "effective_cores" in the row. A shared host
+can read far below its core count; a speed claim needs a row whose probe
+read at least 4.
+
 Shrink knobs: the benches honour the same env as scripts/bench_smoke.cmake
 (RDMASEM_SHUFFLE_ENTRIES etc.).
 
@@ -45,6 +52,7 @@ Stdlib only. Exit 0 = all benches ran and validated, 1 otherwise.
 import argparse
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -80,6 +88,41 @@ def design_quality(src_dir=SRC_DIR):
             lines += text.count("\n")
             knobs.update(ENV_KNOB.findall(text))
     return {"src_lines": lines, "env_knobs": len(knobs)}
+
+
+def _spin(iters):
+    """Seconds one pure-Python loop of `iters` additions takes."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(iters):
+        acc += i
+    return time.perf_counter() - t0
+
+
+def _spin_worker(barrier, iters, out):
+    barrier.wait()
+    out.put(_spin(iters))
+
+
+def effective_cores(procs, target_s=0.2):
+    """Spin probe: the summed speed of `procs` concurrent copies of one
+    spin, each relative to the same spin run alone (so `procs` on an idle
+    host with that many cores, about 1 on a host that gives this script
+    one core)."""
+    iters = 1 << 16
+    while _spin(iters) < target_s / 2:
+        iters *= 2
+    alone = min(_spin(iters) for _ in range(3))
+    ctx = multiprocessing.get_context("fork")
+    barrier, out = ctx.Barrier(procs), ctx.Queue()
+    workers = [ctx.Process(target=_spin_worker, args=(barrier, iters, out))
+               for _ in range(procs)]
+    for w in workers:
+        w.start()
+    took = [out.get() for _ in workers]
+    for w in workers:
+        w.join()
+    return round(sum(alone / t for t in took), 2)
 
 
 def discover(bench_dir, with_selfbench):
@@ -166,6 +209,9 @@ def main():
               "(build them first)", file=sys.stderr)
         return 2
 
+    cores = effective_cores(args.jobs)
+    print(f"run_all_benches: spin probe: {cores} effective core(s) "
+          f"of {args.jobs} job(s)")
     t0 = time.monotonic()
     results = []
     with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
@@ -211,6 +257,7 @@ def main():
         "table_rows": rows,
         "wall_seconds": round(wall, 1),
         "jobs": args.jobs,
+        "effective_cores": cores,
         "host": host,
         **design_quality(),
     }
@@ -243,7 +290,8 @@ def main():
 
     print(f"aggregate report: {all_path}")
     print(f"trajectory: {len(benches)} benches ok, {len(failed)} failed, "
-          f"{points} points, {rows} rows, {wall:.1f}s wall")
+          f"{points} points, {rows} rows, {wall:.1f}s wall, "
+          f"{cores} effective cores")
     return 1 if failed else 0
 
 

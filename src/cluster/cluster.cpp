@@ -5,17 +5,26 @@
 
 namespace rdmasem::cluster {
 
+namespace {
+// "m<id>", the prefix of every per-machine resource and gauge name.
+std::string machine_name(MachineId id) {
+  std::string name = "m";
+  name += std::to_string(id);
+  return name;
+}
+}  // namespace
+
 Machine::Machine(sim::Engine& engine, const hw::ModelParams& params,
                  MachineId id)
     : id_(id),
       p_(params),
       topo_(params),
-      rnic_(engine, params, params.rnic_ports, "m" + std::to_string(id)),
+      rnic_(engine, params, params.rnic_ports, machine_name(id)),
       coherence_(engine, params) {
   for (SocketId s = 0; s < params.sockets_per_machine; ++s) {
     dram_.push_back(std::make_unique<hw::DramModel>(p_));
     mem_channel_.push_back(std::make_unique<sim::Resource>(
-        engine, 1, "m" + std::to_string(id) + ".mem" + std::to_string(s)));
+        engine, 1, machine_name(id) + ".mem" + std::to_string(s)));
   }
 }
 
@@ -56,8 +65,6 @@ Cluster::Cluster(sim::Engine& engine, hw::ModelParams params)
   for (auto& lat : topo.group_latency)
     if (lat == kUnset) lat = base;
   engine_.configure_lanes(lanes, std::move(topo));
-  faults_.set_lanes(lanes);
-  obs_.tracer.set_lanes(lanes);
   machines_.reserve(params.machines);
   for (MachineId m = 0; m < params.machines; ++m)
     machines_.push_back(std::make_unique<Machine>(engine, p_, m));
@@ -96,7 +103,7 @@ void Cluster::register_gauges() {
           [this] { return static_cast<double>(fabric_.drops()); });
   for (MachineId id = 0; id < size(); ++id) {
     Machine* mach = machines_[id].get();
-    const std::string base = "m" + std::to_string(id) + ".";
+    const std::string base = machine_name(id) + ".";
     auto& rnic = mach->rnic();
     for (std::uint32_t p = 0; p < rnic.port_count(); ++p) {
       const std::string pb = base + "p" + std::to_string(p) + ".";

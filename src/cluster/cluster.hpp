@@ -60,14 +60,11 @@ class Cluster {
   sim::Engine& engine() { return engine_; }
   const hw::ModelParams& params() const { return p_; }
   net::Fabric& fabric() { return fabric_; }
-  // Fault injection: the cluster owns the fault domain (one replica per
-  // engine lane, consulted by the fabric on every transit) and the
-  // injector that applies FaultPlans to every replica. A NIC-stall
-  // listener registered at construction freezes the stalled machine's
-  // RNIC pipeline resources for the stall window.
-  fault::FaultDomain& fault_domain() { return faults_; }
-  // Lane-0 (driver) replica — the view driver-context code reads.
-  fault::FaultState& faults() { return faults_.replica(0); }
+  // Fault injection: the cluster owns the one fault state (consulted by
+  // the fabric on every transit) and the injector that applies FaultPlans
+  // to it. A NIC-stall listener registered at construction freezes the
+  // stalled machine's RNIC pipeline resources for the stall window.
+  fault::FaultState& faults() { return faults_; }
   fault::FaultInjector& injector() { return injector_; }
   // Convenience: schedule a whole plan on the virtual clock.
   void inject(const fault::FaultPlan& plan) { injector_.schedule(plan); }
@@ -114,7 +111,7 @@ class Cluster {
   sim::Engine& engine_;
   hw::ModelParams p_;
   obs::Hub obs_;
-  fault::FaultDomain faults_;
+  fault::FaultState faults_;
   fault::FaultInjector injector_;
   net::Fabric fabric_;
   std::vector<std::unique_ptr<Machine>> machines_;

@@ -1,15 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "sim/lane.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "util/assert.hpp"
 
 namespace rdmasem::fault {
 
@@ -99,9 +96,11 @@ struct LinkFault {
 };
 
 // FaultState — the instantaneous fault picture, mutated only by the
-// FaultInjector and read by net::Fabric on every transit. `active()` is
-// the fast path: when no fault was ever injected, transit consults one
-// counter and pays nothing else.
+// FaultInjector and read by net::Fabric on every transit. A cluster owns
+// exactly one, shared by every lane: the engine is serial, and each edge
+// is one engine event, so every transit at a given virtual instant sees
+// the same picture. `active()` is the fast path: when no fault was ever
+// injected, transit consults one counter and pays nothing else.
 class FaultState {
  public:
   FaultState(std::uint32_t machines, std::uint32_t ports_per_machine);
@@ -152,51 +151,6 @@ class FaultState {
   // Partition refcounts keyed by the normalized (lo, hi) machine pair.
   std::unordered_map<std::uint64_t, std::uint32_t> partitions_;
   std::uint64_t active_ = 0;
-};
-
-// FaultDomain — one FaultState replica per engine lane. The injector
-// applies every fault edge to every replica, as an engine event on that
-// lane at the fault's virtual time, and each lane reads only its own
-// copy, so all replicas agree at every virtual instant. The per-lane edge
-// events are part of the engine's (at, key) order: one shared state
-// would save them but change event counts and tie order. With one lane
-// this is exactly a single shared state.
-class FaultDomain {
- public:
-  FaultDomain(std::uint32_t machines, std::uint32_t ports_per_machine)
-      : machines_(machines), ports_(ports_per_machine) {
-    set_lanes(1);
-  }
-
-  // Rebuilds one pristine replica per lane. Must be called (by the
-  // Cluster, right after Engine::configure_lanes) before any fault is
-  // injected.
-  void set_lanes(std::uint32_t lanes) {
-    replicas_.clear();
-    replicas_.reserve(lanes);
-    for (std::uint32_t l = 0; l < lanes; ++l)
-      replicas_.push_back(std::make_unique<FaultState>(machines_, ports_));
-  }
-  std::uint32_t lanes() const {
-    return static_cast<std::uint32_t>(replicas_.size());
-  }
-
-  FaultState& replica(std::uint32_t lane) { return *replicas_[lane]; }
-  const FaultState& replica(std::uint32_t lane) const {
-    return *replicas_[lane];
-  }
-  // The calling lane's replica — the only one a transit may consult.
-  const FaultState& current() const {
-    const std::uint32_t lane = sim::current_lane();
-    RDMASEM_CHECK_MSG(lane < replicas_.size(),
-                      "fault replica missing for lane (set_lanes)");
-    return *replicas_[lane];
-  }
-
- private:
-  std::uint32_t machines_;
-  std::uint32_t ports_;
-  std::vector<std::unique_ptr<FaultState>> replicas_;
 };
 
 }  // namespace rdmasem::fault

@@ -5,19 +5,15 @@
 namespace rdmasem::fault {
 
 void FaultInjector::schedule(const FaultPlan& plan) {
-  // One edge event per lane, all keyed by the scheduling lane (the
-  // driver), so at equal timestamps replica updates interleave with
-  // traffic in (origin lane, per-lane seq) order.
-  const std::uint32_t lanes = lane_count();
+  // One event per edge, keyed by the scheduling lane (the driver): all
+  // edges of one call take consecutive keys, so at any timestamp they form
+  // one contiguous run in (at, key) order with no traffic inside it.
   for (const FaultEvent& ev : plan.events) {
-    const bool windowed = ev.kind != FaultKind::kCrash &&
-                          ev.kind != FaultKind::kRestart;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      engine_.schedule_on(l, ev.at, [this, ev, l] { begin_on(l, ev); });
-      if (windowed)
-        engine_.schedule_on(l, ev.at + ev.duration,
-                            [this, ev, l] { end_on(l, ev); });
-    }
+    const std::uint32_t lane = notify_lane(ev);
+    engine_.schedule_on(lane, ev.at, [this, ev] { begin(ev); });
+    if (ev.kind != FaultKind::kCrash && ev.kind != FaultKind::kRestart)
+      engine_.schedule_on(lane, ev.at + ev.duration,
+                          [this, ev] { end(ev); });
   }
 }
 
@@ -91,32 +87,14 @@ bool FaultInjector::apply_end(FaultState& st, const FaultEvent& ev) {
   return true;
 }
 
-void FaultInjector::begin_on(std::uint32_t lane, const FaultEvent& ev) {
-  apply_begin(replica(lane), ev);
-  if (lane == notify_lane(ev)) {
-    ++injected_;
-    notify(ev, /*is_begin=*/true);
-  }
-}
-
-void FaultInjector::end_on(std::uint32_t lane, const FaultEvent& ev) {
-  if (apply_end(replica(lane), ev) && lane == notify_lane(ev))
-    notify(ev, /*is_begin=*/false);
-}
-
 void FaultInjector::begin(const FaultEvent& ev) {
+  apply_begin(state_, ev);
   ++injected_;
-  const std::uint32_t lanes = lane_count();
-  for (std::uint32_t l = 0; l < lanes; ++l) apply_begin(replica(l), ev);
   notify(ev, /*is_begin=*/true);
 }
 
 void FaultInjector::end(const FaultEvent& ev) {
-  bool notified_end = false;
-  const std::uint32_t lanes = lane_count();
-  for (std::uint32_t l = 0; l < lanes; ++l)
-    notified_end = apply_end(replica(l), ev);
-  if (notified_end) notify(ev, /*is_begin=*/false);
+  if (apply_end(state_, ev)) notify(ev, /*is_begin=*/false);
 }
 
 void FaultInjector::notify(const FaultEvent& ev, bool is_begin) {

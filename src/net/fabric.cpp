@@ -27,9 +27,9 @@ sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
   }
   sim::Duration hop = p_.hop_latency(src, dst);
   // Congestion / rerouting faults show up as extra propagation latency;
-  // read on the sender's lane, before the hop.
-  if (faults_ != nullptr && faults_->current().active())
-    hop += faults_->current().extra_latency(src, sport, dst, dport);
+  // read at send time, before the hop.
+  if (faults_ != nullptr && faults_->active())
+    hop += faults_->extra_latency(src, sport, dst, dport);
   co_await tx_link(src, sport).use(wire);
   // Propagation + switching carries execution from the sender's lane to
   // the receiver's. On a bare engine (no cluster lanes) the destination
@@ -41,14 +41,13 @@ sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
 
 bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {
   double prob = p_.net_loss_prob;
-  if (faults_ != nullptr && faults_->current().active()) {
-    const fault::FaultState& st = faults_->current();
-    if (st.blocked(src, sport, dst, dport)) {
+  if (faults_ != nullptr && faults_->active()) {
+    if (faults_->blocked(src, sport, dst, dport)) {
       ++drops_;
       ++link_drops_[index(src, sport)];
       return true;  // no path: crashed node, dead link or partition
     }
-    const double burst = st.loss_override(src, sport, dst, dport);
+    const double burst = faults_->loss_override(src, sport, dst, dport);
     if (burst >= 0.0) prob = burst;
   }
   if (prob <= 0.0) return false;

@@ -50,10 +50,9 @@ class Fabric {
   // simulator. Must be called on the receiver's lane (qp.cpp does).
   bool dropped(MachineId src, PortId sport, MachineId dst, PortId dport);
 
-  // Attaches the cluster's fault domain; nullptr = lossless-lab behavior.
-  // Each lane consults only its own replica (FaultDomain::current).
-  void set_faults(const fault::FaultDomain* f) { faults_ = f; }
-  const fault::FaultDomain* faults() const { return faults_; }
+  // Attaches the cluster's fault state; nullptr = lossless-lab behavior.
+  void set_faults(const fault::FaultState* f) { faults_ = f; }
+  const fault::FaultState* faults() const { return faults_; }
 
   sim::Resource& tx_link(MachineId m, PortId p) { return *tx_[index(m, p)]; }
   sim::Resource& rx_link(MachineId m, PortId p) { return *rx_[index(m, p)]; }
@@ -77,7 +76,7 @@ class Fabric {
   std::uint32_t ports_;
   std::vector<std::unique_ptr<sim::Resource>> tx_;
   std::vector<std::unique_ptr<sim::Resource>> rx_;
-  const fault::FaultDomain* faults_ = nullptr;
+  const fault::FaultState* faults_ = nullptr;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;

@@ -30,7 +30,10 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_str(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 std::string json_num(double v, int precision) {

@@ -90,12 +90,14 @@ std::string MetricsRegistry::json() const {
   out += "],\n    \"rows\": [";
   for (std::size_t i = 0; i < series_.size(); ++i) {
     out += i ? ",\n      " : "\n      ";
-    out += "[" + us_from_ps(series_[i].at);
+    out += '[';
+    out += us_from_ps(series_[i].at);
     const std::size_t cols = counters_.size() + gauges_.size();
-    for (std::size_t v = 0; v < cols; ++v)
-      out += ", " + (v < series_[i].values.size()
-                         ? json_num(series_[i].values[v])
-                         : std::string("0"));
+    for (std::size_t v = 0; v < cols; ++v) {
+      out += ", ";
+      out += v < series_[i].values.size() ? json_num(series_[i].values[v])
+                                          : std::string("0");
+    }
     out += "]";
   }
   out += series_.empty() ? "]\n  }\n}\n" : "\n    ]\n  }\n}\n";
@@ -110,9 +112,11 @@ std::string MetricsRegistry::csv() const {
   const std::size_t cols = counters_.size() + gauges_.size();
   for (const auto& row : series_) {
     out += us_from_ps(row.at);
-    for (std::size_t v = 0; v < cols; ++v)
-      out += "," + (v < row.values.size() ? json_num(row.values[v])
-                                          : std::string("0"));
+    for (std::size_t v = 0; v < cols; ++v) {
+      out += ',';
+      out += v < row.values.size() ? json_num(row.values[v])
+                                   : std::string("0");
+    }
     out += "\n";
   }
   return out;

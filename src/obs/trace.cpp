@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "util/table.hpp"
@@ -78,58 +79,41 @@ std::string StageBreakdown::render() const {
   return t.render();
 }
 
-std::vector<Span> Tracer::spans() const {
-  // Concatenate lanes in lane order, then stable-sort by begin time: both
-  // steps are pure functions of the per-lane sequences.
-  std::vector<Span> out;
-  std::size_t total = 0;
-  for (const auto& ln : lanes_) total += ln.spans.size();
-  out.reserve(total);
-  for (const auto& ln : lanes_)
-    out.insert(out.end(), ln.spans.begin(), ln.spans.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Span& a, const Span& b) { return a.begin < b.begin; });
+namespace {
+// Equal begins keep lane order, then record order (stable).
+template <typename S>
+std::vector<S> export_order(std::vector<S> out) {
+  std::stable_sort(out.begin(), out.end(), [](const S& a, const S& b) {
+    return a.begin != b.begin ? a.begin < b.begin : a.lane < b.lane;
+  });
   return out;
 }
+}  // namespace
+
+std::vector<Span> Tracer::spans() const { return export_order(spans_); }
 
 std::vector<AttrSpan> Tracer::attr_spans() const {
-  std::vector<AttrSpan> out;
-  std::size_t total = 0;
-  for (const auto& ln : lanes_) total += ln.attrs.size();
-  out.reserve(total);
-  for (const auto& ln : lanes_)
-    out.insert(out.end(), ln.attrs.begin(), ln.attrs.end());
-  std::stable_sort(
-      out.begin(), out.end(),
-      [](const AttrSpan& a, const AttrSpan& b) { return a.begin < b.begin; });
-  return out;
+  return export_order(attrs_);
 }
 
 std::vector<Span> Tracer::drain() {
-  std::vector<Span> out = spans();
-  for (auto& ln : lanes_) ln.spans.clear();
-  return out;
+  return export_order(std::exchange(spans_, {}));
 }
 
 std::vector<AttrSpan> Tracer::drain_attrs() {
-  std::vector<AttrSpan> out = attr_spans();
-  for (auto& ln : lanes_) ln.attrs.clear();
-  return out;
+  return export_order(std::exchange(attrs_, {}));
 }
 
 void Tracer::clear() {
-  for (auto& ln : lanes_) {
-    ln.spans.clear();
-    ln.dropped = 0;
-    ln.attrs.clear();
-    ln.attr_dropped = 0;
-  }
+  spans_.clear();
+  dropped_ = 0;
+  attrs_.clear();
+  attr_dropped_ = 0;
 }
 
 StageBreakdown Tracer::breakdown() const {
   StageBreakdown b;
-  for (const auto& ln : lanes_)
-    for (const Span& s : ln.spans) b.add(s);
+  for (const Span& s : spans_) b.add(s);
   return b;
 }
 

@@ -7,7 +7,6 @@
 
 #include "sim/lane.hpp"
 #include "sim/time.hpp"
-#include "util/assert.hpp"
 
 namespace rdmasem::obs {
 
@@ -44,7 +43,9 @@ struct Span {
   std::uint32_t machine = 0;  // requester machine = trace process id
   Stage stage = Stage::kPost;
   std::uint8_t opcode = 0;    // verbs::Opcode, kept raw to stay layer-clean
+  std::uint16_t lane = 0;     // engine lane that recorded it (export order)
 };
+static_assert(sizeof(Span) == 48, "the lane rides in Span's padding");
 
 // One resource grant (or pure latency / wire leg) on one WR's critical
 // path — the Plane-1 attribution record. [begin, grant) is queueing wait,
@@ -52,7 +53,7 @@ struct Span {
 // queueing, pure delay). Within one cluster the records of a WR form a
 // contiguous partition of its doorbell->CQE window, which is what lets
 // obs::CriticalPath reconcile attribution against traced end-to-end
-// latency exactly, in picoseconds (docs/OBSERVABILITY.md).
+// latency exactly, in picoseconds (docs/OBSERVABILITY.md). 64 bytes.
 struct AttrSpan {
   sim::Time begin = 0;   // request time (wait starts)
   sim::Time grant = 0;   // service start (== begin when wait == 0)
@@ -65,7 +66,9 @@ struct AttrSpan {
   std::uint32_t machine = 0;  // requester machine = trace process id
   std::uint16_t res = 0;      // interned resource-name index (res_names())
   std::uint8_t opcode = 0;    // verbs::Opcode, raw
+  std::uint16_t lane = 0;     // engine lane that recorded it (export order)
 };
+static_assert(sizeof(AttrSpan) == 64);
 
 // Aggregated per-stage totals — the "where did the cycles go" table the
 // paper's figures are explained with.
@@ -93,10 +96,10 @@ struct StageBreakdown {
 // the virtual-clock timeline (the zero-cost contract, asserted by
 // obs_test.cpp and the determinism suites).
 //
-// Spans land in PER-LANE buffers indexed by sim::current_lane(). Every
-// export (chrome_json, breakdown, drain order) concatenates lanes in lane
-// order and stable-sorts by begin time, so it is a pure function of the
-// per-lane span sequences.
+// Spans land in one buffer in record order, each stamped with the
+// recording lane (sim::current_lane()). Every export (chrome_json, drain
+// order) stable-sorts by (begin, lane), so spans with equal begin come
+// out in lane order and, within a lane, in record order.
 class Tracer {
  public:
   // Pre-interned attribution pseudo-resources: kResLatency covers fixed
@@ -108,26 +111,20 @@ class Tracer {
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
-  // Bounds memory PER LANE: spans beyond the cap are counted in dropped().
+  // Bounds memory per tracer, across all lanes: spans beyond the cap are
+  // counted in dropped(), attribution spans in attr_dropped().
   void set_capacity(std::size_t max_spans) { capacity_ = max_spans; }
-  // Pre-sizes the per-lane buffers (driver lane + one per machine). The
-  // Cluster calls this at construction; a bare Tracer has lane 0 only.
-  void set_lanes(std::uint32_t lanes) { lanes_.resize(lanes); }
 
   void span(Stage stage, sim::Time begin, sim::Time end, std::uint64_t wr_id,
             std::uint64_t qp_id, std::uint32_t machine, std::uint8_t opcode,
             std::uint64_t seq = 0) {
     if (!enabled_) return;
-    const std::uint32_t lane = sim::current_lane();
-    RDMASEM_CHECK_MSG(lane < lanes_.size(),
-                      "tracer lane buffer missing (set_lanes)");
-    LaneBuf& ln = lanes_[lane];
-    if (ln.spans.size() >= capacity_) {
-      ++ln.dropped;
+    if (spans_.size() >= capacity_) {
+      ++dropped_;
       return;
     }
-    ln.spans.push_back({begin, end, wr_id, qp_id, seq, machine, stage,
-                        opcode});
+    spans_.push_back({begin, end, wr_id, qp_id, seq, machine, stage, opcode,
+                      current_lane()});
   }
   void instant(Stage stage, sim::Time at, std::uint64_t wr_id,
                std::uint64_t qp_id, std::uint32_t machine,
@@ -146,40 +143,27 @@ class Tracer {
   }
   const std::vector<std::string>& res_names() const { return res_names_; }
 
-  // Records one attribution span (same zero-cost contract and per-lane
-  // buffering as span()). `res` is an intern_res index or
+  // Records one attribution span (same zero-cost contract, lane stamp and
+  // export order as span()). `res` is an intern_res index or
   // kResLatency/kResWire.
   void attr(std::uint16_t res, sim::Time begin, sim::Time grant,
             sim::Time end, std::uint64_t wr_id, std::uint64_t qp_id,
             std::uint64_t seq, std::uint32_t machine, std::uint8_t opcode) {
     if (!enabled_) return;
-    const std::uint32_t lane = sim::current_lane();
-    RDMASEM_CHECK_MSG(lane < lanes_.size(),
-                      "tracer lane buffer missing (set_lanes)");
-    LaneBuf& ln = lanes_[lane];
-    if (ln.attrs.size() >= capacity_) {
-      ++ln.attr_dropped;
+    if (attrs_.size() >= capacity_) {
+      ++attr_dropped_;
       return;
     }
-    ln.attrs.push_back({begin, grant, end, wr_id, qp_id, seq, machine, res,
-                        opcode});
+    attrs_.push_back({begin, grant, end, wr_id, qp_id, seq, machine, res,
+                      opcode, current_lane()});
   }
 
-  // All recorded spans, merged deterministically across lanes.
+  // All recorded spans in (begin, lane, record) order.
   std::vector<Span> spans() const;
-  std::uint64_t dropped() const {
-    std::uint64_t n = 0;
-    for (const auto& ln : lanes_) n += ln.dropped;
-    return n;
-  }
-  // Attribution spans, merged with the same lane-concat + stable-sort
-  // recipe as spans().
+  std::uint64_t dropped() const { return dropped_; }
+  // Attribution spans, in the same order as spans().
   std::vector<AttrSpan> attr_spans() const;
-  std::uint64_t attr_dropped() const {
-    std::uint64_t n = 0;
-    for (const auto& ln : lanes_) n += ln.attr_dropped;
-    return n;
-  }
+  std::uint64_t attr_dropped() const { return attr_dropped_; }
   // Moves the recorded spans out (e.g. into a bench-wide sink) and
   // resets the buffers.
   std::vector<Span> drain();
@@ -193,16 +177,19 @@ class Tracer {
   std::string chrome_json() const;
 
  private:
-  struct LaneBuf {
-    std::vector<Span> spans;
-    std::uint64_t dropped = 0;
-    std::vector<AttrSpan> attrs;
-    std::uint64_t attr_dropped = 0;
-  };
+  // sim::Engine::kMaxLanes is 2^14, so every lane fits the 16-bit stamp.
+  static std::uint16_t current_lane() {
+    return static_cast<std::uint16_t>(sim::current_lane());
+  }
 
   bool enabled_ = false;
-  std::size_t capacity_ = 1u << 22;  // ~168 MB worst case; benches drain
-  std::vector<LaneBuf> lanes_ = std::vector<LaneBuf>(1);
+  // One cap per tracer, across all lanes: at most 192 MiB of spans plus
+  // 256 MiB of attribution spans; benches drain.
+  std::size_t capacity_ = 1u << 22;
+  std::vector<Span> spans_;
+  std::uint64_t dropped_ = 0;
+  std::vector<AttrSpan> attrs_;
+  std::uint64_t attr_dropped_ = 0;
   std::vector<std::string> res_names_{"latency", "wire"};
 };
 

@@ -342,7 +342,7 @@ void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
 // (kInfiniteRetry never gives up). UC/UD get exactly one shot.
 //
 // Fabric::transit carries execution to the destination's lane, and the
-// drop decision is drawn there (destination RNG + fault replica). A
+// drop decision is drawn there (destination RNG + fault state). A
 // retransmit rides the sender's timeout back: hop(src, backoff), which
 // lands at the retransmit's virtual time on the sender's lane. Final
 // failure hops to `home_machine` the same way — the backoff timeout is

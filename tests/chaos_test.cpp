@@ -264,9 +264,12 @@ std::string txkv_battery(kv::TxKv& store, Testbed& tb) {
   }
   EXPECT_TRUE(store.locks_free(tb.eng.now()));
   EXPECT_EQ(store.snapshot_integrity_failures(), 0u);
-  digest += "|" + store.history().render() + "|" +
-            std::to_string(tb.eng.now()) + "|" +
-            std::to_string(tb.eng.events_processed());
+  digest += '|';
+  digest += store.history().render();
+  digest += '|';
+  digest += std::to_string(tb.eng.now());
+  digest += '|';
+  digest += std::to_string(tb.eng.events_processed());
   return digest;
 }
 

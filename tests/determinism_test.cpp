@@ -486,8 +486,9 @@ TEST(Determinism, GoldenBrokerSrqDc) {
 }
 
 TEST(Determinism, GoldenChaosFaults) {
+  // Event count: one edge event per fault edge (12 windowed faults x 2).
   expect_golden(chaos_golden(), 0x8aa120eb870c99baULL,
-                1011048111, 10951);
+                1011048111, 10759);
 }
 
 TEST(Determinism, GoldenLeafTopology) {

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <tuple>
 
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
+#include "sim/lane.hpp"
 #include "testbed.hpp"
 
 namespace v = rdmasem::verbs;
@@ -331,6 +333,87 @@ TEST(FaultNic, StallFreezesRemotePipeline) {
     // Inbound processing on machine 1 was frozen for the stall window.
     EXPECT_GE(t.eng.now(), sim::us(80));
   }(tb, conn.local, lmr, rmr));
+}
+
+// A fault edge and transits at the same instant on other machines' lanes:
+// transit events the driver scheduled before the plan see the state before
+// the edge, those scheduled after it see the state after it, whatever lane
+// they run on. Listeners fire once per edge, on the faulted machine's lane.
+TEST(FaultEdges, VisibleAcrossLanesInSchedulingOrder) {
+  Testbed tb;
+  ASSERT_EQ(tb.cluster.size(), 8u);
+  ASSERT_EQ(tb.eng.lanes(), 9u);
+  constexpr fl::MachineId kDown = 3, kLossy = 6;
+  constexpr fl::PortId kPort = 1;
+  const sim::Time t = sim::us(10);
+  const sim::Duration window = sim::us(5);
+
+  struct Edge {
+    fl::MachineId machine;
+    bool begin;
+    sim::Time at;
+    std::uint32_t lane;
+  };
+  std::vector<Edge> edges;
+  tb.cluster.injector().add_listener(
+      [&](const fl::FaultEvent& ev, bool begin) {
+        edges.push_back({ev.machine, begin, tb.eng.now(), sim::current_lane()});
+      });
+
+  // Each probe asks the fabric, on machine `dst`'s lane, whether a message
+  // from the faulted machine `src` is lost at exactly `at`.
+  struct Probe {
+    fl::MachineId src, dst;
+    sim::Time at;
+    bool after_plan;
+    int dropped = -1;
+  };
+  std::vector<Probe> probes;
+  for (const bool after_plan : {false, true})
+    for (const fl::MachineId src : {kDown, kLossy})
+      for (const fl::MachineId dst : {0u, 2u, 5u, 7u})
+        for (const sim::Time at : {t, t + window})
+          probes.push_back({src, dst, at, after_plan});
+  auto schedule_probes = [&](bool after_plan) {
+    for (Probe& p : probes) {
+      if (p.after_plan != after_plan) continue;
+      tb.eng.schedule_on(p.dst + 1, p.at, [&tb, &p] {
+        p.dropped = tb.cluster.fabric().dropped(p.src, kPort, p.dst, kPort);
+      });
+    }
+  };
+
+  schedule_probes(/*after_plan=*/false);
+  fl::FaultPlan plan;
+  plan.link_down(t, window, kDown, kPort)
+      .loss_burst(t, window, kLossy, kPort, 1.0);
+  tb.cluster.inject(plan);
+  schedule_probes(/*after_plan=*/true);
+  tb.eng.run();
+
+  for (const Probe& p : probes) {
+    // Before the plan's events: the onset is not yet visible at t, the
+    // lift not yet at t + window. After them: both are.
+    const bool in_window = p.at == t ? p.after_plan : !p.after_plan;
+    EXPECT_EQ(p.dropped, in_window ? 1 : 0)
+        << "src " << p.src << " dst " << p.dst << " at " << p.at
+        << (p.after_plan ? " (after plan)" : " (before plan)");
+  }
+
+  ASSERT_EQ(edges.size(), 4u);
+  for (const Edge& e : edges) {
+    EXPECT_EQ(e.lane, e.machine + 1);
+    EXPECT_EQ(e.at, e.begin ? t : t + window);
+  }
+  for (const fl::MachineId m : {kDown, kLossy})
+    for (const bool begin : {true, false})
+      EXPECT_EQ(std::count_if(edges.begin(), edges.end(),
+                              [&](const Edge& e) {
+                                return e.machine == m && e.begin == begin;
+                              }),
+                1);
+  EXPECT_EQ(tb.cluster.injector().injected(), 2u);
+  EXPECT_FALSE(tb.cluster.faults().active());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "obs/bench_export.hpp"
 #include "obs/hub.hpp"
@@ -118,6 +120,56 @@ TEST(Tracer, CapacityCapCountsDrops) {
   t.clear();
   EXPECT_TRUE(t.spans().empty());
   EXPECT_EQ(t.dropped(), 0u);
+
+  // The cap is per tracer, not per lane: spans and attribution spans
+  // recorded on three lanes of one cluster share it.
+  Testbed tb;
+  auto& ct = tb.cluster.obs().tracer;
+  ct.set_enabled(true);
+  ct.set_capacity(4);
+  for (const std::uint32_t lane : {1u, 2u, 3u})
+    for (int i = 0; i < 2; ++i)
+      tb.eng.schedule_on(lane, sim::Time(i), [&ct, i] {
+        ct.instant(obs::Stage::kCqe, i, i, 1, 0, 0);
+        ct.attr(obs::Tracer::kResWire, i, i, i, i, 1, 0, 0, 0);
+      });
+  tb.eng.run();
+  EXPECT_EQ(ct.spans().size(), 4u);
+  EXPECT_EQ(ct.dropped(), 2u);
+  EXPECT_EQ(ct.attr_spans().size(), 4u);
+  EXPECT_EQ(ct.attr_dropped(), 2u);
+}
+
+// Spans with equal begin export in lane order, then in record order within
+// a lane, whatever order the lanes recorded them in.
+TEST(Tracer, EqualBeginsExportInLaneThenRecordOrder) {
+  Testbed tb;
+  auto& t = tb.cluster.obs().tracer;
+  t.set_enabled(true);
+  const sim::Time at = sim::us(1);
+  // (lane, wr_id, begin) in record order; events on one timestamp run in
+  // scheduling order.
+  const std::vector<std::tuple<std::uint32_t, std::uint64_t, sim::Time>> recs{
+      {3, 1, 500}, {1, 2, 500}, {2, 3, 500}, {3, 4, 500},
+      {2, 5, 100}, {1, 6, 900}, {1, 7, 500}};
+  for (const auto& [lane, wr, begin] : recs)
+    tb.eng.schedule_on(lane, at, [&t, wr = wr, begin = begin] {
+      t.span(obs::Stage::kExec, begin, begin + 10, wr, 1, 0, 0);
+      t.attr(obs::Tracer::kResWire, begin, begin, begin + 10, wr, 1, 0, 0, 0);
+    });
+  tb.eng.run();
+
+  const std::vector<std::uint64_t> want{5, 2, 7, 3, 1, 4, 6};
+  std::vector<std::uint64_t> got, got_attr;
+  for (const auto& s : t.spans()) got.push_back(s.wr_id);
+  for (const auto& a : t.attr_spans()) got_attr.push_back(a.wr_id);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_attr, want);
+  got.clear();
+  for (const auto& s : t.drain()) got.push_back(s.wr_id);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(t.spans().empty());
+  EXPECT_EQ(t.attr_spans().size(), want.size());
 }
 
 TEST(StageBreakdown, AddMergeAndRender) {

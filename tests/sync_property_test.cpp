@@ -240,7 +240,9 @@ TEST(SyncProperty, LeaseEpochsAreStrictlyMonotone) {
     for (std::size_t i = 1; i < r.grants.size(); ++i)
       EXPECT_GT(r.grants[i].epoch, r.grants[i - 1].epoch)
           << "seed " << seed << ": epoch not monotone at grant " << i;
-    if (!r.grants.empty()) EXPECT_GE(r.grants.front().epoch, 1u);
+    if (!r.grants.empty()) {
+      EXPECT_GE(r.grants.front().epoch, 1u);
+    }
   }
 }
 

@@ -94,7 +94,8 @@ RunOut txkv_run(const kv::Config& cfg, bool chaos, bool battery) {
   for (std::uint64_t k = 0; k < cfg.num_keys; ++k)
     out.digest += std::to_string(store.key_version(k)) + ":" +
                   std::to_string(store.key_value(k)) + ";";
-  out.digest += "|" + std::to_string(out.result.commits) + "," +
+  out.digest += '|';
+  out.digest += std::to_string(out.result.commits) + "," +
                 std::to_string(out.result.gets) + "," +
                 std::to_string(out.result.aborts) + "," +
                 std::to_string(out.result.recoveries) + "|" +
