@@ -3,20 +3,20 @@
 // Shared pieces of the figure/table reproduction harness.
 //
 // Every bench binary follows the same pattern:
-//   * each sweep point is a google-benchmark entry that runs the
-//     simulation once and reports SIMULATED time via manual timing
-//     (counters carry MOPS / latency in paper units);
-//   * every point also appends a row to a collector, and main() prints
-//     the paper-style table after the gbench run — the rows a reader
-//     compares against the paper's figure.
+//   * a plain sweep() runs each sweep point's simulation once, in a fixed
+//     order, and appends the point's paper-style table row to a collector
+//     (plus structured points via bench::point);
+//   * main() hands the collector and sweep() to run_main(), which runs the
+//     sweep, prints the table — the rows a reader compares against the
+//     paper's figure — and writes BENCH_<name>.json.
+//
+// Points run in declaration order because simulated addresses come from a
+// process-wide cursor (verbs::Buffer): reordering a sweep shifts them.
 //
 // Workload sizes honor the RDMASEM_* environment knobs (README) so the
 // paper-scale runs are reproducible on bigger machines.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,8 +32,8 @@
 
 namespace rdmasem::bench {
 
-// Ordered row collector: rows keyed by (series, x) so sweeps can arrive in
-// any order but print grouped by series.
+// The paper-style table: a title, a header and the rows in the order the
+// sweep appended them.
 class FigureCollector {
  public:
   explicit FigureCollector(std::string title, std::vector<std::string> header)
@@ -164,7 +164,7 @@ inline void point_mops(const std::string& series, const std::string& x,
   report().add(std::move(row));
 }
 
-// Called by RDMASEM_BENCH_MAIN after the paper table prints: names the
+// Called by run_main after the paper table prints: names the
 // report after the binary, mirrors the table, writes the merged Chrome
 // trace (when tracing ran) and BENCH_<name>.json into RDMASEM_BENCH_OUT
 // (default "."; set to the empty string to disable file output).
@@ -245,36 +245,35 @@ inline std::uint64_t micro_ops(std::uint64_t def = 8000) {
   return util::env_u64("RDMASEM_MICRO_OPS", def);
 }
 
-// Reports a result through google-benchmark: manual time = simulated time,
-// plus MOPS / latency counters in paper units. Failed completions are
-// surfaced as an `errors` counter and (when non-zero) a per-Status label
-// instead of accumulating silently.
-inline void report(benchmark::State& state, const wl::BenchResult& r) {
-  state.SetIterationTime(sim::to_sec(r.elapsed));
-  state.counters["sim_MOPS"] = r.mops;
-  state.counters["sim_lat_us"] = r.avg_latency_us;
-  state.counters["per_thread_MOPS"] = r.per_thread_mops;
-  state.counters["errors"] = static_cast<double>(r.errors);
-  if (r.errors) state.SetLabel(r.error_breakdown());
-}
-
 // Table cell for the errors column of a paper-style table.
 inline std::string errors_cell(const wl::BenchResult& r) {
   return r.errors ? std::to_string(r.errors) + " (" + r.error_breakdown() + ")"
                   : "0";
 }
 
-}  // namespace rdmasem::bench
+// Compiler barrier: keeps `v` (and every memory write before it) alive
+// without emitting an instruction, so a timed loop cannot be optimized away.
+template <typename T>
+inline __attribute__((always_inline)) void keep(const T& v) {
+  asm volatile("" : : "r,m"(v) : "memory");
+}
 
-// Custom main: run the registered benchmarks, then print the paper table.
-#define RDMASEM_BENCH_MAIN(collector)                         \
-  int main(int argc, char** argv) {                           \
-    ::benchmark::Initialize(&argc, argv);                     \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) \
-      return 1;                                               \
-    ::benchmark::RunSpecifiedBenchmarks();                    \
-    ::benchmark::Shutdown();                                  \
-    (collector).print();                                      \
-    ::rdmasem::bench::finish(argv[0], (collector));           \
-    return 0;                                                 \
+// The whole of a bench's main(): every knob is an RDMASEM_* env var, so
+// any argument is rejected (a stale flag must not run an empty sweep).
+// Otherwise runs the sweep, prints the paper table and writes the report.
+inline int run_main(int argc, char** argv, const FigureCollector& collector,
+                    void (*sweep)()) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "usage: %s  (takes no arguments; sizes come from the "
+                 "RDMASEM_* env knobs in README)\n",
+                 argv[0]);
+    return 2;
   }
+  sweep();
+  collector.print();
+  finish(argv[0], collector);
+  return 0;
+}
+
+}  // namespace rdmasem::bench

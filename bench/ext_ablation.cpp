@@ -70,59 +70,36 @@ double transport_lat(verbs::Transport tp, verbs::Opcode op) {
   return wl::run_closed_loop(rig.eng, spec).avg_latency_us;
 }
 
-void BM_ablation_sram(benchmark::State& state) {
-  const auto entries = static_cast<std::size_t>(state.range(0));
-  double mops = 0;
-  for (auto _ : state) {
-    mops = rand_write_mops(entries);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MOPS"] = mops;
-  collector.add({"sram_entries", std::to_string(entries),
-                 "rand 32B write MOPS (64MB region)", util::fmt(mops)});
-}
+void sweep() {
+  for (const std::size_t entries : {256, 1024, 4096, 16384})
+    collector.add({"sram_entries", std::to_string(entries),
+                   "rand 32B write MOPS (64MB region)",
+                   util::fmt(rand_write_mops(entries))});
 
-void BM_ablation_fastpath(benchmark::State& state) {
-  double bf_inl = 0, bf = 0, plain = 0;
-  for (auto _ : state) {
-    bf_inl = small_write_lat(true, true);
-    bf = small_write_lat(true, false);
-    plain = small_write_lat(false, false);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["bf_inline_us"] = bf_inl;
+  const double bf_inl = small_write_lat(true, true);
+  const double bf = small_write_lat(true, false);
+  const double plain = small_write_lat(false, false);
   collector.add({"fastpath", "blueflame+inline", "32B write lat us",
                  util::fmt(bf_inl)});
   collector.add({"fastpath", "blueflame", "32B write lat us",
                  util::fmt(bf)});
   collector.add({"fastpath", "wqe-fetch (no BF)", "32B write lat us",
                  util::fmt(plain)});
-}
 
-void BM_ablation_transport(benchmark::State& state) {
-  double rc_w = 0, uc_w = 0, rc_s = 0, ud_s = 0;
-  for (auto _ : state) {
-    rc_w = transport_lat(verbs::Transport::kRC, verbs::Opcode::kWrite);
-    uc_w = transport_lat(verbs::Transport::kUC, verbs::Opcode::kWrite);
-    rc_s = transport_lat(verbs::Transport::kRC, verbs::Opcode::kSend);
-    ud_s = transport_lat(verbs::Transport::kUD, verbs::Opcode::kSend);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["uc_write_us"] = uc_w;
+  using verbs::Opcode;
+  using verbs::Transport;
+  const double rc_w = transport_lat(Transport::kRC, Opcode::kWrite);
+  const double uc_w = transport_lat(Transport::kUC, Opcode::kWrite);
+  const double rc_s = transport_lat(Transport::kRC, Opcode::kSend);
+  const double ud_s = transport_lat(Transport::kUD, Opcode::kSend);
   collector.add({"transport", "RC", "32B write lat us", util::fmt(rc_w)});
   collector.add({"transport", "UC", "32B write lat us", util::fmt(uc_w)});
   collector.add({"transport", "RC", "32B send lat us", util::fmt(rc_s)});
   collector.add({"transport", "UD", "32B send lat us", util::fmt(ud_s)});
 }
 
-BENCHMARK(BM_ablation_sram)
-    ->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ablation_fastpath)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ablation_transport)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

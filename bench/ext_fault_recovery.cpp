@@ -26,9 +26,6 @@ FigureCollector collector(
     {"retry_cnt", "MOPS", "vs_clean", "recovery_us", "failovers", "intact",
      "survivor_ok"});
 
-double g_clean = 0;
-sim::Duration g_clean_elapsed = 0;
-
 dl::Config base_config(std::uint32_t retry_cnt) {
   dl::Config cfg;
   cfg.engines = 4;
@@ -40,54 +37,40 @@ dl::Config base_config(std::uint32_t retry_cnt) {
   return cfg;
 }
 
-// range(0) == 0: clean rehearsal (no crash) — the baseline row and the
+// retry_cnt == 0: clean rehearsal (no crash) — the baseline row and the
 // source of the mid-run crash time for the rows that follow.
-void BM_ext_fault(benchmark::State& state) {
-  const auto retry_cnt = static_cast<std::uint32_t>(state.range(0));
-  const bool crash = retry_cnt > 0;
-  dl::Result r;
-  bool intact = false, survivor_ok = false;
-  sim::Time crash_at = 0;
-  for (auto _ : state) {
+void sweep() {
+  dl::Result clean;
+  for (const std::uint32_t retry_cnt : {0, 1, 2, 3, 4, 6}) {
+    const bool crash = retry_cnt > 0;
+    const sim::Time crash_at = crash ? clean.elapsed / 2 : 0;
     wl::Rig rig;
     const auto cfg = base_config(crash ? retry_cnt : 3);
     if (crash) {
-      crash_at = g_clean_elapsed / 2;
       fault::FaultPlan plan;
       plan.crash(crash_at, rig.cluster.size() - 1);  // replica 0's host
       rig.cluster.inject(plan);
     }
     dl::DistributedLog log(rig.contexts(), cfg);
-    r = log.run();
-    intact = log.verify_dense_and_intact();
-    survivor_ok = !crash || log.recover_from_replica(1);
-    state.SetIterationTime(sim::to_sec(r.elapsed));
+    const dl::Result r = log.run();
+    const bool intact = log.verify_dense_and_intact();
+    const bool survivor_ok = !crash || log.recover_from_replica(1);
+    if (!crash) clean = r;
+    const double recovery_us =
+        r.first_failover_at > crash_at
+            ? sim::to_us(r.first_failover_at - crash_at)
+            : 0;
+    collector.add({crash ? std::to_string(retry_cnt) : "no crash",
+                   util::fmt(r.mops),
+                   clean.mops > 0 ? util::fmt(r.mops / clean.mops) + "x" : "-",
+                   crash ? util::fmt(recovery_us) : "-",
+                   std::to_string(r.failovers), intact ? "yes" : "NO",
+                   survivor_ok ? "yes" : "NO"});
   }
-  if (!crash) {
-    g_clean = r.mops;
-    g_clean_elapsed = r.elapsed;
-  }
-  const double recovery_us =
-      r.first_failover_at > crash_at
-          ? sim::to_us(r.first_failover_at - crash_at)
-          : 0;
-  state.counters["MOPS"] = r.mops;
-  state.counters["recovery_us"] = recovery_us;
-  state.counters["failovers"] = static_cast<double>(r.failovers);
-  collector.add({crash ? std::to_string(retry_cnt) : "no crash",
-                 util::fmt(r.mops),
-                 g_clean > 0 ? util::fmt(r.mops / g_clean) + "x" : "-",
-                 crash ? util::fmt(recovery_us) : "-",
-                 std::to_string(r.failovers), intact ? "yes" : "NO",
-                 survivor_ok ? "yes" : "NO"});
 }
-
-BENCHMARK(BM_ext_fault)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(6)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

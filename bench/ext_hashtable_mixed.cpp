@@ -65,26 +65,18 @@ double run_mixed(double write_fraction, bool optimized) {
          sim::to_us(end);
 }
 
-void BM_ext_mixed(benchmark::State& state) {
-  const double wf = static_cast<double>(state.range(0)) / 100.0;
-  double basic = 0, opt = 0;
-  for (auto _ : state) {
-    basic = run_mixed(wf, false);
-    opt = run_mixed(wf, true);
-    state.SetIterationTime(1e-3);
+void sweep() {
+  for (const int write_pct : {100, 50, 20, 5}) {
+    const double wf = static_cast<double>(write_pct) / 100.0;
+    const double basic = run_mixed(wf, false);
+    const double opt = run_mixed(wf, true);
+    collector.add({std::to_string(write_pct) + "%", util::fmt(basic),
+                   util::fmt(opt), util::fmt(opt / basic) + "x"});
   }
-  state.counters["basic_MOPS"] = basic;
-  state.counters["optimized_MOPS"] = opt;
-  collector.add({std::to_string(state.range(0)) + "%", util::fmt(basic),
-                 util::fmt(opt), util::fmt(opt / basic) + "x"});
 }
-
-BENCHMARK(BM_ext_mixed)
-    ->Arg(100)->Arg(50)->Arg(20)->Arg(5)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -46,30 +46,22 @@ double latency_with_mrs(std::uint32_t mr_count, std::uint64_t ops,
   return r.avg_latency_us;
 }
 
-double g_baseline = 0;
-
-void BM_ext_mr(benchmark::State& state) {
-  const auto mrs = static_cast<std::uint32_t>(state.range(0));
+// The first (64-MR) row is the baseline the others are relative to.
+void sweep() {
   const std::uint64_t ops = bench::micro_ops(3000);
-  double lat = 0, hit = 0;
-  for (auto _ : state) {
-    lat = latency_with_mrs(mrs, ops, &hit);
-    state.SetIterationTime(1e-3);
+  double baseline = 0;
+  for (const std::uint32_t mrs : {64, 128, 256, 640, 1280}) {
+    double hit = 0;
+    const double lat = latency_with_mrs(mrs, ops, &hit);
+    if (mrs == 64) baseline = lat;
+    collector.add({std::to_string(mrs), util::fmt(lat),
+                   baseline > 0 ? util::fmt(lat / baseline) + "x" : "-",
+                   util::fmt(hit, 3)});
   }
-  if (state.range(0) == 64) g_baseline = lat;
-  state.counters["lat_us"] = lat;
-  state.counters["mcache_hit"] = hit;
-  collector.add({std::to_string(mrs), util::fmt(lat),
-                 g_baseline > 0 ? util::fmt(lat / g_baseline) + "x" : "-",
-                 util::fmt(hit, 3)});
 }
-
-BENCHMARK(BM_ext_mr)
-    ->Arg(64)->Arg(128)->Arg(256)->Arg(640)->Arg(1280)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

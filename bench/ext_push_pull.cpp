@@ -32,26 +32,17 @@ double run_dir(sh::Direction dir, std::uint32_t chunk) {
   return r.mops;
 }
 
-void BM_ext_push_pull(benchmark::State& state) {
-  const auto chunk = static_cast<std::uint32_t>(state.range(0));
-  double push = 0, pull = 0;
-  for (auto _ : state) {
-    push = run_dir(sh::Direction::kPush, chunk);
-    pull = run_dir(sh::Direction::kPull, chunk);
-    state.SetIterationTime(1e-3);
+void sweep() {
+  for (const std::uint32_t chunk : {1, 2, 4, 8, 16, 32}) {
+    const double push = run_dir(sh::Direction::kPush, chunk);
+    const double pull = run_dir(sh::Direction::kPull, chunk);
+    collector.add({std::to_string(chunk), util::fmt(push), util::fmt(pull),
+                   util::fmt(push / pull) + "x"});
   }
-  state.counters["push_MOPS"] = push;
-  state.counters["pull_MOPS"] = pull;
-  collector.add({std::to_string(chunk), util::fmt(push), util::fmt(pull),
-                 util::fmt(push / pull) + "x"});
 }
-
-BENCHMARK(BM_ext_push_pull)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -17,13 +17,10 @@ FigureCollector collector(
     "Ext. log replication factor (7 engines, batch 16)",
     {"replicas", "MOPS", "vs_unreplicated", "replicas_identical"});
 
-double g_base = 0;
-
-void BM_ext_repl(benchmark::State& state) {
-  const auto replicas = static_cast<std::uint32_t>(state.range(0));
-  double mops = 0;
-  bool identical = false;
-  for (auto _ : state) {
+// The first (unreplicated) row is the baseline the others are relative to.
+void sweep() {
+  double base = 0;
+  for (const std::uint32_t replicas : {1, 2, 3, 4}) {
     wl::Rig rig;
     dl::Config cfg;
     cfg.engines = 7;
@@ -31,25 +28,18 @@ void BM_ext_repl(benchmark::State& state) {
     cfg.batch_size = 16;
     cfg.replicas = replicas;
     dl::DistributedLog log(rig.contexts(), cfg);
-    const auto r = log.run();
+    const double mops = log.run().mops;
     RDMASEM_CHECK_MSG(log.verify_dense_and_intact(), "log corrupted");
-    mops = r.mops;
-    identical = log.verify_replicas_identical();
-    state.SetIterationTime(sim::to_sec(r.elapsed));
+    const bool identical = log.verify_replicas_identical();
+    if (replicas == 1) base = mops;
+    collector.add({std::to_string(replicas), util::fmt(mops),
+                   base > 0 ? util::fmt(mops / base) + "x" : "-",
+                   identical ? "yes" : "NO"});
   }
-  if (replicas == 1) g_base = mops;
-  state.counters["MOPS"] = mops;
-  collector.add({std::to_string(replicas), util::fmt(mops),
-                 g_base > 0 ? util::fmt(mops / g_base) + "x" : "-",
-                 identical ? "yes" : "NO"});
 }
-
-BENCHMARK(BM_ext_repl)
-    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -201,7 +201,6 @@ struct RunResult {
   wl::BenchResult bench;
   double srv_hit = 0;   // server mcache hit rate
   std::uint64_t rejected = 0;
-  std::uint64_t srv_qps = 0;  // QP endpoints living on the server
 };
 
 RunResult run_mode(Mode mode, std::uint32_t tenants) {
@@ -227,7 +226,6 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
   verbs::SharedReceiveQueue* srq = nullptr;
   verbs::QueuePair* dct = nullptr;
   std::vector<std::unique_ptr<svc::Broker>> brokers;
-  std::uint64_t srv_qps = 0;
   if (mode == Mode::kBroker) {
     srq = sctx.create_srq();
     for (std::uint32_t m = 0; m < kTenantMachines; ++m) {
@@ -242,7 +240,6 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
         auto* sv = sctx.create_qp(cb);
         verbs::Context::connect(*cl, *sv);
         pool.push_back(cl);
-        ++srv_qps;
       }
       brokers.push_back(std::make_unique<svc::Broker>(std::move(pool)));
     }
@@ -253,7 +250,6 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
     scfg.cq = sctx.create_cq();
     scfg.srq = srq;
     dct = sctx.create_qp(scfg);
-    srv_qps = 1;
   }
 
   // Tenants, their endpoints, and every receive buffer the op mix will
@@ -285,7 +281,6 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
       auto* sv = sctx.create_qp(cb);
       verbs::Context::connect(*cl, *sv);
       c.qp = cl;
-      ++srv_qps;
       for (std::uint64_t i = 0; i < sends_for(t, ops); ++i)
         sv->post_recv({i, srv.recv_sge(t + i)});
     } else if (mode == Mode::kBroker) {
@@ -311,7 +306,6 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
 
   // Merge in tenant order.
   RunResult out;
-  out.srv_qps = srv_qps;
   util::Samples all;
   sim::Time end = 0;
   std::uint64_t logical = 0, errors = 0;
@@ -334,50 +328,31 @@ RunResult run_mode(Mode mode, std::uint32_t tenants) {
   out.bench.p999_latency_us = all.percentile(99.9);
   out.bench.errors = errors;
   out.srv_hit = rig.cluster.machine(0).rnic().mcache().hit_rate();
-  if (util::env_u64("RDMASEM_TENANT_DEBUG", 0) != 0) {
-    std::fprintf(stderr, "mode=%d tenants=%u cli1_hit=%.4f json=%s\n",
-                 static_cast<int>(mode), tenants,
-                 rig.cluster.machine(1).rnic().mcache().hit_rate(),
-                 rig.cluster.obs().metrics.json().c_str());
-  }
   bench::absorb(rig.cluster);
   return out;
 }
 
-void BM_tenant_scale(benchmark::State& state) {
-  const auto tenants = static_cast<std::uint32_t>(state.range(0));
-  RunResult rc, br, dc;
-  for (auto _ : state) {
-    rc = run_mode(Mode::kRc, tenants);
-    br = run_mode(Mode::kBroker, tenants);
-    dc = run_mode(Mode::kDc, tenants);
-    state.SetIterationTime(sim::to_sec(rc.bench.elapsed + br.bench.elapsed +
-                                       dc.bench.elapsed));
+void sweep() {
+  for (const std::uint32_t tenants : {64, 128, 256, 512, 1024, 2048}) {
+    const RunResult rc = run_mode(Mode::kRc, tenants);
+    const RunResult br = run_mode(Mode::kBroker, tenants);
+    const RunResult dc = run_mode(Mode::kDc, tenants);
+    const std::string x = std::to_string(tenants);
+    bench::point("RC", x, rc.bench);
+    bench::point("BROKER", x, br.bench);
+    bench::point("DC", x, dc.bench);
+    bench::point_mops("RC_srv_hit", x, rc.srv_hit);
+    collector.add({x, util::fmt(rc.bench.mops), util::fmt(br.bench.mops),
+                   util::fmt(dc.bench.mops),
+                   util::fmt(rc.bench.p99_latency_us),
+                   util::fmt(br.bench.p99_latency_us),
+                   util::fmt(dc.bench.p99_latency_us),
+                   util::fmt(rc.srv_hit, 3), std::to_string(br.rejected)});
   }
-  state.counters["RC_MOPS"] = rc.bench.mops;
-  state.counters["BROKER_MOPS"] = br.bench.mops;
-  state.counters["DC_MOPS"] = dc.bench.mops;
-  state.counters["RC_srv_mcache_hit"] = rc.srv_hit;
-  state.counters["RC_server_qps"] = static_cast<double>(rc.srv_qps);
-  state.counters["BROKER_server_qps"] = static_cast<double>(br.srv_qps);
-  const std::string x = std::to_string(tenants);
-  bench::point("RC", x, rc.bench);
-  bench::point("BROKER", x, br.bench);
-  bench::point("DC", x, dc.bench);
-  bench::point_mops("RC_srv_hit", x, rc.srv_hit);
-  collector.add({x, util::fmt(rc.bench.mops), util::fmt(br.bench.mops),
-                 util::fmt(dc.bench.mops), util::fmt(rc.bench.p99_latency_us),
-                 util::fmt(br.bench.p99_latency_us),
-                 util::fmt(dc.bench.p99_latency_us), util::fmt(rc.srv_hit, 3),
-                 std::to_string(br.rejected)});
 }
-
-BENCHMARK(BM_tenant_scale)
-    ->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

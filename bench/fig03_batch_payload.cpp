@@ -64,62 +64,42 @@ double local_mops(std::uint32_t size, std::uint32_t batch,
          sim::to_us(total);
 }
 
-void BM_fig3(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
-  const auto batch = static_cast<std::uint32_t>(state.range(1));
+// One (size, batch) point: Doorbell, SGL and SP on fresh rigs, then the
+// local baseline.
+void run_point(std::uint32_t size, std::uint32_t batch) {
   const std::uint64_t reps = bench::micro_ops(2000) / batch + 1;
-  double db = 0, sgl = 0, sp = 0, local = 0;
-  for (auto _ : state) {
-    sim::Duration elapsed = 0;
-    {
-      wl::Rig rig;
-      verbs::Buffer src(1 << 18), dst(1 << 18);
-      auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-      auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-      auto conn = rig.connect(0, 1);
-      remem::DoorbellBatcher b(*conn.local);
-      db = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
-      elapsed += rig.eng.now();
-    }
-    {
-      wl::Rig rig;
-      verbs::Buffer src(1 << 18), dst(1 << 18);
-      auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-      auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-      auto conn = rig.connect(0, 1);
-      remem::SglBatcher b(*conn.local);
-      sgl = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
-      elapsed += rig.eng.now();
-    }
-    {
-      wl::Rig rig;
-      verbs::Buffer src(1 << 18), dst(1 << 18);
-      auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-      auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-      auto conn = rig.connect(0, 1);
-      remem::SpBatcher b(*conn.local, static_cast<std::size_t>(size) * batch);
-      sp = batcher_mops(b, rig, lmr, rmr, size, batch, reps);
-      elapsed += rig.eng.now();
-    }
-    local = local_mops(size, batch, reps);
-    state.SetIterationTime(sim::to_sec(elapsed));
-  }
-  state.counters["Doorbell_MOPS"] = db;
-  state.counters["SGL_MOPS"] = sgl;
-  state.counters["SP_MOPS"] = sp;
-  state.counters["Local_MOPS"] = local;
+  auto remote = [&](auto make_batcher) {
+    wl::Rig rig;
+    verbs::Buffer src(1 << 18), dst(1 << 18);
+    auto* lmr = rig.ctx[0]->register_buffer(src, 1);
+    auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
+    auto conn = rig.connect(0, 1);
+    auto b = make_batcher(*conn.local);
+    return batcher_mops(b, rig, lmr, rmr, size, batch, reps);
+  };
+  const double db = remote(
+      [](verbs::QueuePair& qp) { return remem::DoorbellBatcher(qp); });
+  const double sgl =
+      remote([](verbs::QueuePair& qp) { return remem::SglBatcher(qp); });
+  const double sp = remote([&](verbs::QueuePair& qp) {
+    return remem::SpBatcher(qp, static_cast<std::size_t>(size) * batch);
+  });
+  const double local = local_mops(size, batch, reps);
   collector.add({util::fmt_bytes(size), std::to_string(batch),
                  util::fmt(db), util::fmt(sgl), util::fmt(sp),
                  util::fmt(local)});
 }
 
-BENCHMARK(BM_fig3)
-    ->ArgsProduct({{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048},
-                   {4, 16}})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+// Batch outer, size inner: the committed table's row order.
+void sweep() {
+  for (const std::uint32_t batch : {4, 16})
+    for (const std::uint32_t size :
+         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048})
+      run_point(size, batch);
+}
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -65,43 +65,33 @@ double local_rw(bool write, std::uint32_t batch, std::uint64_t reps) {
          sim::to_us(total);
 }
 
-void BM_fig4(benchmark::State& state) {
-  const auto batch = static_cast<std::uint32_t>(state.range(0));
-  const std::uint64_t reps = bench::micro_ops(4000) / batch + 1;
-  double db = 0, sgl = 0, sp = 0, lw = 0, lr = 0;
-  for (auto _ : state) {
-    db = run_batcher(
+void sweep() {
+  for (const std::uint32_t batch : {1, 2, 4, 8, 16, 32}) {
+    const std::uint64_t reps = bench::micro_ops(4000) / batch + 1;
+    const double db = run_batcher(
         [](verbs::QueuePair& qp) {
           return std::make_unique<remem::DoorbellBatcher>(qp);
         },
         batch, reps);
-    sgl = run_batcher(
+    const double sgl = run_batcher(
         [](verbs::QueuePair& qp) {
           return std::make_unique<remem::SglBatcher>(qp);
         },
         batch, reps);
-    sp = run_batcher(
+    const double sp = run_batcher(
         [batch](verbs::QueuePair& qp) {
           return std::make_unique<remem::SpBatcher>(qp, kSize * batch);
         },
         batch, reps);
-    lw = local_rw(true, batch, reps);
-    lr = local_rw(false, batch, reps);
-    state.SetIterationTime(1e-3);  // aggregate of three sims; see counters
+    const double lw = local_rw(true, batch, reps);
+    const double lr = local_rw(false, batch, reps);
+    collector.add({std::to_string(batch), util::fmt(db), util::fmt(sgl),
+                   util::fmt(sp), util::fmt(lw), util::fmt(lr)});
   }
-  state.counters["Doorbell_MOPS"] = db;
-  state.counters["SGL_MOPS"] = sgl;
-  state.counters["SP_MOPS"] = sp;
-  collector.add({std::to_string(batch), util::fmt(db), util::fmt(sgl),
-                 util::fmt(sp), util::fmt(lw), util::fmt(lr)});
 }
-
-BENCHMARK(BM_fig4)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

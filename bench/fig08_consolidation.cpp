@@ -65,33 +65,20 @@ double consolidated_mops(std::uint32_t theta, std::uint64_t ops) {
   return out;
 }
 
-double g_native = 0;
-
-void BM_fig8(benchmark::State& state) {
-  const auto theta = static_cast<std::uint32_t>(state.range(0));
+void sweep() {
   const std::uint64_t ops = bench::micro_ops(6000);
-  double mops = 0;
-  for (auto _ : state) {
-    if (theta == 0) {
-      mops = native_mops(ops);
-      g_native = mops;
-    } else {
-      mops = consolidated_mops(theta, ops);
-    }
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MOPS"] = mops;
-  const double speedup = g_native > 0 ? mops / g_native : 0;
-  collector.add({theta == 0 ? "native" : std::to_string(theta),
-                 util::fmt(mops), util::fmt(speedup)});
+  const double native = native_mops(ops);
+  auto row = [native](const std::string& theta, double mops) {
+    collector.add({theta, util::fmt(mops),
+                   util::fmt(native > 0 ? mops / native : 0)});
+  };
+  row("native", native);
+  for (const std::uint32_t theta : {1, 2, 4, 8, 16})
+    row(std::to_string(theta), consolidated_mops(theta, ops));
 }
-
-BENCHMARK(BM_fig8)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

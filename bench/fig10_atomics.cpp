@@ -189,42 +189,31 @@ double rpc_seq_mops(std::uint32_t threads) {
   return static_cast<double>(n) / sim::to_us(end);
 }
 
-void BM_fig10(benchmark::State& state) {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  double ll = 0, rl = 0, rlb = 0, pl = 0, ls = 0, rs = 0, ps = 0;
-  for (auto _ : state) {
-    ll = local_lock_mops(threads);
-    rl = remote_lock_mops(threads, false);
-    rlb = remote_lock_mops(threads, true);
-    pl = rpc_lock_mops(threads);
-    ls = local_seq_mops(threads);
-    rs = remote_seq_mops(threads);
-    ps = rpc_seq_mops(threads);
-    state.SetIterationTime(1e-3);
+void sweep() {
+  for (const std::uint32_t threads : {1, 2, 4, 6, 8, 10, 12, 14}) {
+    const double ll = local_lock_mops(threads);
+    const double rl = remote_lock_mops(threads, false);
+    const double rlb = remote_lock_mops(threads, true);
+    const double pl = rpc_lock_mops(threads);
+    const double ls = local_seq_mops(threads);
+    const double rs = remote_seq_mops(threads);
+    const double ps = rpc_seq_mops(threads);
+    const std::string x = std::to_string(threads);
+    bench::point_mops("lock:local", x, ll);
+    bench::point_mops("lock:remote", x, rl);
+    bench::point_mops("lock:remote+bo", x, rlb);
+    bench::point_mops("lock:rpc", x, pl);
+    bench::point_mops("seq:local", x, ls);
+    bench::point_mops("seq:remote", x, rs);
+    bench::point_mops("seq:rpc", x, ps);
+    collector.add({x, util::fmt(ll), util::fmt(rl), util::fmt(rlb),
+                   util::fmt(pl), util::fmt(ls), util::fmt(rs),
+                   util::fmt(ps)});
   }
-  state.counters["lock_local"] = ll;
-  state.counters["lock_remote"] = rl;
-  state.counters["lock_remote_backoff"] = rlb;
-  state.counters["seq_remote"] = rs;
-  const std::string x = std::to_string(threads);
-  bench::point_mops("lock:local", x, ll);
-  bench::point_mops("lock:remote", x, rl);
-  bench::point_mops("lock:remote+bo", x, rlb);
-  bench::point_mops("lock:rpc", x, pl);
-  bench::point_mops("seq:local", x, ls);
-  bench::point_mops("seq:remote", x, rs);
-  bench::point_mops("seq:rpc", x, ps);
-  collector.add({std::to_string(threads), util::fmt(ll), util::fmt(rl),
-                 util::fmt(rlb), util::fmt(pl), util::fmt(ls), util::fmt(rs),
-                 util::fmt(ps)});
 }
-
-BENCHMARK(BM_fig10)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12)->Arg(14)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -58,34 +58,17 @@ double run_config(double hot_fraction, std::uint32_t theta) {
          sim::to_us(end);
 }
 
-void BM_fig13a(benchmark::State& state) {
-  const auto denom = static_cast<std::uint32_t>(state.range(0));
-  double mops = 0;
-  for (auto _ : state) {
-    mops = run_config(1.0 / denom, 16);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MOPS"] = mops;
-  collector.add({"a:hot-prop", "1/" + std::to_string(denom),
-                 util::fmt(mops)});
+void sweep() {
+  for (const std::uint32_t denom : {4, 8, 16, 32})
+    collector.add({"a:hot-prop", "1/" + std::to_string(denom),
+                   util::fmt(run_config(1.0 / denom, 16))});
+  for (const std::uint32_t theta : {1, 2, 4, 8, 16})
+    collector.add({"b:theta", std::to_string(theta),
+                   util::fmt(run_config(1.0 / 4, theta))});
 }
-
-void BM_fig13b(benchmark::State& state) {
-  const auto theta = static_cast<std::uint32_t>(state.range(0));
-  double mops = 0;
-  for (auto _ : state) {
-    mops = run_config(1.0 / 4, theta);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MOPS"] = mops;
-  collector.add({"b:theta", std::to_string(theta), util::fmt(mops)});
-}
-
-BENCHMARK(BM_fig13a)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_fig13b)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -37,30 +37,20 @@ double run_shuffle(std::uint32_t executors, sh::BatchMode mode,
   return r.mops;
 }
 
-void BM_fig15(benchmark::State& state) {
-  const auto execs = static_cast<std::uint32_t>(state.range(0));
-  double basic = 0, sgl4 = 0, sgl16 = 0, sp4 = 0, sp16 = 0;
-  for (auto _ : state) {
-    basic = run_shuffle(execs, sh::BatchMode::kNone, 1);
-    sgl4 = run_shuffle(execs, sh::BatchMode::kSgl, 4);
-    sgl16 = run_shuffle(execs, sh::BatchMode::kSgl, 16);
-    sp4 = run_shuffle(execs, sh::BatchMode::kSp, 4);
-    sp16 = run_shuffle(execs, sh::BatchMode::kSp, 16);
-    state.SetIterationTime(1e-3);
+void sweep() {
+  for (const std::uint32_t execs : {2, 4, 6, 8, 10, 12, 14, 16}) {
+    const double basic = run_shuffle(execs, sh::BatchMode::kNone, 1);
+    const double sgl4 = run_shuffle(execs, sh::BatchMode::kSgl, 4);
+    const double sgl16 = run_shuffle(execs, sh::BatchMode::kSgl, 16);
+    const double sp4 = run_shuffle(execs, sh::BatchMode::kSp, 4);
+    const double sp16 = run_shuffle(execs, sh::BatchMode::kSp, 16);
+    collector.add({std::to_string(execs), util::fmt(basic), util::fmt(sgl4),
+                   util::fmt(sgl16), util::fmt(sp4), util::fmt(sp16)});
   }
-  state.counters["basic_MOPS"] = basic;
-  state.counters["sgl16_MOPS"] = sgl16;
-  state.counters["sp16_MOPS"] = sp16;
-  collector.add({std::to_string(execs), util::fmt(basic), util::fmt(sgl4),
-                 util::fmt(sgl16), util::fmt(sp4), util::fmt(sp16)});
 }
-
-BENCHMARK(BM_fig15)
-    ->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12)->Arg(14)->Arg(16)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

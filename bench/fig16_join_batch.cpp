@@ -32,46 +32,31 @@ jn::Result run_join_cfg(std::uint32_t executors, std::uint32_t batch,
   return r;
 }
 
-void BM_fig16a(benchmark::State& state) {
-  const auto batch = static_cast<std::uint32_t>(state.range(0));
-  const auto theta = static_cast<std::uint32_t>(state.range(1));
-  const bool numa = state.range(2) != 0;
-  double secs = 0;
-  for (auto _ : state) {
-    const auto r = run_join_cfg(theta, batch, numa);
-    secs = r.seconds;
-    state.SetIterationTime(r.seconds);
-  }
-  state.counters["seconds"] = secs;
-  const std::string config = std::string(numa ? "NUMA" : "noNUMA") +
-                             ",theta=" + std::to_string(theta);
-  collector.add({"a:batch", std::to_string(batch), config, util::fmt(secs, 3),
+void add_row(const char* panel, std::uint32_t x, const std::string& config,
+             double secs) {
+  collector.add({panel, std::to_string(x), config, util::fmt(secs, 3),
                  util::fmt(1.0 / secs, 3)});
 }
 
-void BM_fig16b(benchmark::State& state) {
-  const auto execs = static_cast<std::uint32_t>(state.range(0));
-  const auto batch = static_cast<std::uint32_t>(state.range(1));
-  double secs = 0;
-  for (auto _ : state) {
-    const auto r = run_join_cfg(execs, batch, true);
-    secs = r.seconds;
-    state.SetIterationTime(r.seconds);
-  }
-  state.counters["inv_seconds"] = 1.0 / secs;
-  const std::string config =
-      batch <= 1 ? "w/o batch" : "lambda=" + std::to_string(batch);
-  collector.add({"b:threads", std::to_string(execs), config,
-                 util::fmt(secs, 3), util::fmt(1.0 / secs, 3)});
+// Panel a runs batch innermost, then theta, then NUMA; panel b runs
+// executors innermost, then batch: the committed table's row order.
+void sweep() {
+  for (const bool numa : {false, true})
+    for (const std::uint32_t theta : {4, 16})
+      for (const std::uint32_t batch : {1, 2, 4, 8, 16, 32})
+        add_row("a:batch", batch,
+                std::string(numa ? "NUMA" : "noNUMA") +
+                    ",theta=" + std::to_string(theta),
+                run_join_cfg(theta, batch, numa).seconds);
+  for (const std::uint32_t batch : {1, 4, 16})
+    for (const std::uint32_t execs : {1, 2, 4, 8, 12, 16})
+      add_row("b:threads", execs,
+              batch <= 1 ? "w/o batch" : "lambda=" + std::to_string(batch),
+              run_join_cfg(execs, batch, true).seconds);
 }
-
-BENCHMARK(BM_fig16a)
-    ->ArgsProduct({{1, 2, 4, 8, 16, 32}, {4, 16}, {0, 1}})
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_fig16b)
-    ->ArgsProduct({{1, 2, 4, 8, 12, 16}, {1, 4, 16}})
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

@@ -32,34 +32,24 @@ double run_one(std::uint64_t tuples, bool distributed, std::uint32_t execs,
   return r.seconds;
 }
 
-void BM_fig17(benchmark::State& state) {
+void sweep() {
   // Paper sweeps 2^24..2^26; default scale-down keeps the same 4x spread.
   const auto shift = util::env_u64("RDMASEM_JOIN_SCALE_SHIFT", 16);
-  const std::uint64_t tuples = 1ull << (shift + state.range(0));
-  double single = 0, naive = 0, t4l1 = 0, t4l16 = 0, t16l16 = 0;
-  for (auto _ : state) {
-    single = run_one(tuples, false, 1, 1, true);
-    naive = run_one(tuples, true, 4, 1, false);
-    t4l1 = run_one(tuples, true, 4, 1, true);
-    t4l16 = run_one(tuples, true, 4, 16, true);
-    t16l16 = run_one(tuples, true, 16, 16, true);
-    state.SetIterationTime(single + t16l16);
+  for (std::uint64_t exp = shift; exp <= shift + 2; ++exp) {
+    const std::uint64_t tuples = 1ull << exp;
+    const double single = run_one(tuples, false, 1, 1, true);
+    const double naive = run_one(tuples, true, 4, 1, false);
+    const double t4l1 = run_one(tuples, true, 4, 1, true);
+    const double t4l16 = run_one(tuples, true, 4, 16, true);
+    const double t16l16 = run_one(tuples, true, 16, 16, true);
+    collector.add({"2^" + std::to_string(exp), util::fmt(single, 3),
+                   util::fmt(naive, 3), util::fmt(t4l1, 3),
+                   util::fmt(t4l16, 3), util::fmt(t16l16, 3)});
   }
-  state.counters["single_s"] = single;
-  state.counters["t16_l16_s"] = t16l16;
-  state.counters["speedup_vs_single"] = single / t16l16;
-  collector.add({"2^" + std::to_string(shift + state.range(0)),
-                 util::fmt(single, 3), util::fmt(naive, 3),
-                 util::fmt(t4l1, 3), util::fmt(t4l16, 3),
-                 util::fmt(t16l16, 3)});
 }
-
-BENCHMARK(BM_fig17)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

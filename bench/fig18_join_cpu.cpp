@@ -6,7 +6,6 @@
 // SGL skips the memcpy (the RNIC gathers). Paper anchor: SGL saves
 // ~67% CPU at 4 KB entries.
 
-#include "apps/shuffle/shuffle.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -18,49 +17,25 @@ FigureCollector collector(
     "Fig. 18  Sender CPU cost per entry, SP vs SGL (7 executors)",
     {"entry_size", "SP_ns_per_entry", "SGL_ns_per_entry", "SGL_saving"});
 
-void BM_fig18(benchmark::State& state) {
-  const auto entry = static_cast<std::uint32_t>(state.range(0));
+void sweep() {
   const std::uint32_t batch = 16;
   hw::ModelParams p;
-  double sp = 0, sgl = 0;
-  for (auto _ : state) {
+  for (const std::uint32_t entry : {64, 256, 1024, 4096}) {
     // Exactly the costs the simulator charges per entry on the send path
     // (see SpBatcher/SglBatcher + QueuePair::post_cost).
     const double common =
         sim::to_ns(p.cpu_tuple_work + p.cpu_hash) +
         sim::to_ns(p.cpu_wqe_prep + p.cpu_mmio) / batch;
-    sp = common + sim::to_ns(p.memcpy_time(entry));
-    sgl = common;
-    // Sanity-check against a real shuffle run's simulated time split:
-    // run both modes and require SP to be slower end-to-end.
-    wl::Rig rig;
-    apps::shuffle::Config cfg;
-    cfg.executors = 7;
-    cfg.entries_per_executor = 1500;
-    cfg.entry_size = entry;
-    cfg.batch_size = batch;
-    cfg.batch = apps::shuffle::BatchMode::kSp;
-    const auto rsp = apps::shuffle::Shuffle(rig.contexts(), cfg).run();
-    wl::Rig rig2;
-    cfg.batch = apps::shuffle::BatchMode::kSgl;
-    const auto rsgl = apps::shuffle::Shuffle(rig2.contexts(), cfg).run();
-    state.SetIterationTime(sim::to_sec(rsp.elapsed + rsgl.elapsed));
-    state.counters["shuffle_SP_MOPS"] = rsp.mops;
-    state.counters["shuffle_SGL_MOPS"] = rsgl.mops;
+    const double sp = common + sim::to_ns(p.memcpy_time(entry));
+    const double sgl = common;
+    collector.add({util::fmt_bytes(entry), util::fmt(sp, 1),
+                   util::fmt(sgl, 1),
+                   util::fmt(100.0 * (1.0 - sgl / sp), 1) + "%"});
   }
-  state.counters["SP_ns"] = sp;
-  state.counters["SGL_ns"] = sgl;
-  collector.add({util::fmt_bytes(entry), util::fmt(sp, 1),
-                 util::fmt(sgl, 1),
-                 util::fmt(100.0 * (1.0 - sgl / sp), 1) + "%"});
 }
-
-BENCHMARK(BM_fig18)
-    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

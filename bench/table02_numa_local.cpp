@@ -16,33 +16,25 @@ FigureCollector collector(
     "Table II  Local vs remote socket DRAM (MLC-style)",
     {"type", "latency_ns", "bandwidth_GBps"});
 
-void BM_table2(benchmark::State& state) {
-  const bool remote = state.range(0) != 0;
-  hw::ModelParams p;
-  hw::DramModel dram(p);
-  double lat = 0, bw = 0;
-  for (auto _ : state) {
-    lat = sim::to_ns(dram.idle_latency(!remote));
+void sweep() {
+  for (const bool remote : {false, true}) {
+    hw::ModelParams p;
+    hw::DramModel dram(p);
+    const double lat = sim::to_ns(dram.idle_latency(!remote));
     // Streaming bandwidth: time N MB of sequential traffic.
     const std::size_t chunk = 1 << 20;
     const int chunks = 64;
     sim::Duration total = 0;
     for (int i = 0; i < chunks; ++i) total += dram.stream(chunk, !remote);
-    bw = static_cast<double>(chunk) * chunks / sim::to_sec(total) / 1e9;
-    state.SetIterationTime(sim::to_sec(total));
+    const double bw =
+        static_cast<double>(chunk) * chunks / sim::to_sec(total) / 1e9;
+    collector.add({remote ? "remote socket" : "local socket",
+                   util::fmt(lat, 0), util::fmt(bw)});
   }
-  state.counters["latency_ns"] = lat;
-  state.counters["bandwidth_GBps"] = bw;
-  collector.add({remote ? "remote socket" : "local socket",
-                 util::fmt(lat, 0), util::fmt(bw)});
 }
-
-BENCHMARK(BM_table2)
-    ->Arg(0)->Arg(1)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

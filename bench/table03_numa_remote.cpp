@@ -70,30 +70,21 @@ const char* own_alt(bool alt_core, bool alt_mem) {
   return "alt core, alt mem";
 }
 
-void BM_table3(benchmark::State& state) {
-  const auto idx = static_cast<std::uint32_t>(state.range(0));
-  Placement pl{(idx & 8) != 0, (idx & 4) != 0, (idx & 2) != 0,
-               (idx & 1) != 0};
-  double lat = 0, mops = 0;
-  for (auto _ : state) {
-    auto [l, m] = measure(pl, bench::micro_ops(2000));
-    lat = l;
-    mops = m;
-    state.SetIterationTime(1e-3);
+// Placement index bits: local core, local mem, remote core, remote mem
+// (8, 4, 2, 1), each set bit meaning "alt".
+void sweep() {
+  for (std::uint32_t idx = 0; idx < 16; ++idx) {
+    const Placement pl{(idx & 8) != 0, (idx & 4) != 0, (idx & 2) != 0,
+                       (idx & 1) != 0};
+    const auto [lat, mops] = measure(pl, bench::micro_ops(2000));
+    collector.add({own_alt(pl.alt_core_local, pl.alt_mem_local),
+                   own_alt(pl.alt_core_remote, pl.alt_mem_remote),
+                   util::fmt(lat), util::fmt(mops)});
   }
-  state.counters["lat_us"] = lat;
-  state.counters["MOPS"] = mops;
-  collector.add({own_alt(pl.alt_core_local, pl.alt_mem_local),
-                 own_alt(pl.alt_core_remote, pl.alt_mem_remote),
-                 util::fmt(lat), util::fmt(mops)});
 }
-
-BENCHMARK(BM_table3)
-    ->DenseRange(0, 15, 1)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-RDMASEM_BENCH_MAIN(collector)
+int main(int argc, char** argv) {
+  return rdmasem::bench::run_main(argc, argv, collector, sweep);
+}

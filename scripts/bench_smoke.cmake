@@ -39,7 +39,7 @@ execute_process(
           RDMASEM_SELFBENCH_ACTORS=512
           RDMASEM_SELFBENCH_TASKS=800
           RDMASEM_SELFBENCH_HOPS=8
-          "${BENCH}" --benchmark_min_time=0.01
+          "${BENCH}"
   RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
   message(FATAL_ERROR "${name} exited with ${run_rc}")

@@ -25,9 +25,10 @@ accumulates a perf history across PRs instead of overwriting it. Point
 --trajectory-file elsewhere or at "" to disable. The accumulated history
 is mirrored into BENCH_ALL.json under "trajectory_history".
 
-Each row also records two design-quality numbers read from the source
-tree: src_lines (lines of src/**/*.cpp and *.hpp) and env_knobs (distinct
-RDMASEM_* names passed to util::env_* in src/). Both should only go down.
+Each row also records three design-quality numbers read from the source
+tree: src_lines (lines of src/**/*.cpp and *.hpp), bench_lines (lines of
+bench/*.cpp and *.hpp) and env_knobs (distinct RDMASEM_* names passed to
+util::env_* in src/). All three should only go down.
 
 Whole-process host cost: each bench is reaped with os.wait4, and its wall,
 user and sys seconds and peak RSS land in the row under "host" (one entry
@@ -72,22 +73,33 @@ DEFAULT_TRAJECTORY = os.path.join(
     "trajectory.jsonl")
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "src")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "bench")
 ENV_KNOB = re.compile(r'\benv_\w+\(\s*"(RDMASEM_[A-Z0-9_]+)"')
 
 
-def design_quality(src_dir=SRC_DIR):
-    """Line count of src/**/*.{cpp,hpp} and the distinct RDMASEM_* names
-    the library reads through util::env_*."""
+def _sources(root_dir, recurse):
+    """Text of every *.cpp / *.hpp under root_dir (top level only unless
+    recurse)."""
+    for root, dirs, files in os.walk(root_dir):
+        if not recurse:
+            dirs.clear()
+        for name in sorted(files):
+            if name.endswith((".cpp", ".hpp")):
+                with open(os.path.join(root, name), encoding="utf-8") as f:
+                    yield f.read()
+
+
+def design_quality(src_dir=SRC_DIR, bench_dir=BENCH_DIR):
+    """Line counts of src/**/*.{cpp,hpp} and bench/*.{cpp,hpp}, and the
+    distinct RDMASEM_* names the library reads through util::env_*."""
     lines, knobs = 0, set()
-    for root, _, files in os.walk(src_dir):
-        for name in files:
-            if not name.endswith((".cpp", ".hpp")):
-                continue
-            with open(os.path.join(root, name), encoding="utf-8") as f:
-                text = f.read()
-            lines += text.count("\n")
-            knobs.update(ENV_KNOB.findall(text))
-    return {"src_lines": lines, "env_knobs": len(knobs)}
+    for text in _sources(src_dir, recurse=True):
+        lines += text.count("\n")
+        knobs.update(ENV_KNOB.findall(text))
+    bench_lines = sum(t.count("\n") for t in _sources(bench_dir, False))
+    return {"src_lines": lines, "bench_lines": bench_lines,
+            "env_knobs": len(knobs)}
 
 
 def _spin(iters):
