@@ -25,8 +25,9 @@
 //               perf gate checks its normalized WR rate against the
 //               baseline. A second criterion rides along:
 //               datapath_allocs/steady counts global-allocator hits
-//               during a steady-state single-SGE write loop via the
-//               operator new hook below — the gate requires exactly zero.
+//               during a steady-state single-SGE write loop, on both the
+//               cache-hit and the cache-miss path, via the operator new
+//               hook below — the gate requires exactly zero.
 //   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end.
 //
 // One more row describes the host rather than the engine: parallel_cpus
@@ -54,6 +55,7 @@
 #include "apps/shuffle/shuffle.hpp"
 #include "bench_common.hpp"
 #include "sim/engine.hpp"
+#include "sim/rng.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator hook: every global-allocator acquisition in this
@@ -357,23 +359,35 @@ double datapath_mwrs_per_sec() {
 
 // Steady-state allocation probe: after a warm-up that grows every lazy
 // structure on the path (coroutine frame pools, the QP waiter table,
-// resource FIFOs, calendar ring slots, payload pool classes), a single-SGE
-// write loop must not touch the global allocator at all. Returns the
-// number of allocator hits over 512 steady-state WRs — the gate requires
-// exactly zero. (Sanitizer builds pass buffers straight through the pools
-// by design, so this row is only meaningful — and only gated — on plain
-// builds, where the perf gate runs.)
+// resource FIFOs, calendar ring slots, payload pool classes, the metadata
+// cache's table and nodes), a single-SGE write loop must not touch the
+// global allocator at all. The loop runs two phases: 4 KiB writes to one
+// offset, which hit every modelled cache, then 64 B writes to page-spread
+// pseudo-random offsets of a 64 MiB region, far past the 4 MB SRAM knee,
+// so the RNIC metadata cache and the DRAM open rows miss on nearly every
+// WR. Returns the number of allocator hits over the 1024 steady-state WRs
+// — the gate requires exactly zero. (Sanitizer builds pass buffers
+// straight through the pools by design, so this row is only meaningful —
+// and only gated — on plain builds, where the perf gate runs.)
 std::uint64_t datapath_steady_allocs() {
-  MicroRig rig(1 << 16, 1 << 16, 1);
+  constexpr std::size_t kSpread = 64 << 20;
+  MicroRig rig(1 << 16, kSpread, 1);
   std::uint64_t delta = ~0ull;
   auto loop = [](MicroRig& r, std::uint64_t* out) -> sim::Task {
-    for (int i = 0; i < 256; ++i)
-      (void)co_await r.qps[0]->execute(
-          wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
+    sim::Rng rng(7);
+    const auto hit = [&r] {
+      return r.qps[0]->execute(wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
+    };
+    const auto miss = [&r, &rng] {
+      const std::uint64_t off = rng.uniform(kSpread / 4096) * 4096 +
+                                rng.uniform(4096 / 64) * 64;
+      return r.qps[0]->execute(wl::make_write(*r.lmr, 0, *r.rmr, off, 64));
+    };
+    for (int i = 0; i < 256; ++i) (void)co_await hit();
+    for (int i = 0; i < 4096; ++i) (void)co_await miss();
     const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
-    for (int i = 0; i < 512; ++i)
-      (void)co_await r.qps[0]->execute(
-          wl::make_write(*r.lmr, 0, *r.rmr, 0, 4096));
+    for (int i = 0; i < 512; ++i) (void)co_await hit();
+    for (int i = 0; i < 512; ++i) (void)co_await miss();
     *out = g_heap_allocs.load(std::memory_order_relaxed) - a0;
   };
   rig.rig.eng.spawn(loop(rig, &delta));
@@ -415,7 +429,7 @@ void sweep() {
   const std::uint64_t dp_allocs = datapath_steady_allocs();
   bench::point_mops("datapath_allocs", "steady",
                     static_cast<double>(dp_allocs));
-  collector.add({"datapath_allocs", "steady (512 WRs)",
+  collector.add({"datapath_allocs", "steady (1024 WRs)",
                  std::to_string(dp_allocs)});
 
   // Record the cores that really ran the probe in parallel: the gate

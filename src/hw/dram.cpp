@@ -2,13 +2,17 @@
 
 #include <algorithm>
 
+#include "util/assert.hpp"
+
 namespace rdmasem::hw {
 
-DramModel::DramModel(const ModelParams& p) : p_(p) {}
+DramModel::DramModel(const ModelParams& p) : p_(p) {
+  RDMASEM_CHECK(p_.dram_banks >= 1);
+  open_.reserve(p_.dram_banks);
+}
 
 void DramModel::reset() {
-  open_lru_.clear();
-  open_map_.clear();
+  open_.clear();
   last_line_ = ~std::uint64_t{0};
   row_hits_ = 0;
   row_misses_ = 0;
@@ -28,19 +32,16 @@ sim::Duration DramModel::access(std::uint64_t addr, std::size_t size, Op op,
     }
     const std::uint64_t byte = line * p_.dram_line_bytes;
     const std::uint64_t row = byte / p_.dram_row_bytes;
-    auto it = open_map_.find(row);
-    if (it != open_map_.end()) {
+    const auto it = std::find(open_.begin(), open_.end(), row);
+    if (it != open_.end()) {
       ++row_hits_;
-      open_lru_.splice(open_lru_.begin(), open_lru_, it->second);
+      std::copy_backward(open_.begin(), it, it + 1);
+      open_.front() = row;
       total += p_.dram_row_hit;
     } else {
       ++row_misses_;
-      if (open_map_.size() >= p_.dram_banks) {
-        open_map_.erase(open_lru_.back());
-        open_lru_.pop_back();
-      }
-      open_lru_.push_front(row);
-      open_map_[row] = open_lru_.begin();
+      if (open_.size() >= p_.dram_banks) open_.pop_back();
+      open_.insert(open_.begin(), row);
       // Independent row misses overlap up to the MLP width.
       if (++pending_misses % p_.dram_mlp == 1 || p_.dram_mlp == 1)
         total += p_.dram_row_miss;

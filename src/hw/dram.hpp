@@ -2,8 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/params.hpp"
@@ -51,12 +49,13 @@ class DramModel {
 
  private:
   const ModelParams& p_;
-  // Open-row tracker: an LRU set of `dram_banks` rows. Keying on row
-  // identity (not addr % banks) keeps runs independent of ASLR while
-  // preserving the hit/miss behaviour that drives seq/rand asymmetry.
-  std::list<std::uint64_t> open_lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-      open_map_;
+  // Open-row tracker: an exact LRU set of `dram_banks` rows, kept in MRU
+  // order (front = most recent) in an array reserved at construction. A
+  // hit scans at most `dram_banks` rows and shifts the hit to the front; a
+  // miss drops the last row. Keying on row identity (not addr % banks)
+  // keeps runs independent of ASLR while preserving the hit/miss behaviour
+  // that drives seq/rand asymmetry.
+  std::vector<std::uint64_t> open_;
   std::uint64_t last_line_ = ~std::uint64_t{0};
   std::uint64_t row_hits_ = 0;
   std::uint64_t row_misses_ = 0;

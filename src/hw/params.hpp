@@ -81,7 +81,6 @@ struct ModelParams {
   Duration rnic_atomic_unit = ns(420);
   // On-device SRAM metadata cache (shared by PTEs, QP state, MR state).
   std::size_t rnic_sram_entries = 1024;  // 1024 x 4 KB pages = 4 MB knee
-  std::size_t rnic_sram_assoc = 8;
   // Cost of servicing a metadata-cache miss: fetch the entry from host
   // DRAM over PCIe. Charged as extra execution-unit occupancy (the WQE
   // stalls the pipeline) plus PCIe usage.

@@ -20,27 +20,25 @@ MemoryRegion* Context::register_memory(std::uint64_t addr, void* p,
                                        std::size_t len, hw::SocketId socket) {
   RDMASEM_CHECK_MSG(p != nullptr && len > 0, "empty registration");
   RDMASEM_CHECK_MSG(socket < params().sockets_per_machine, "bad socket");
+  RDMASEM_CHECK_MSG(mrs_.size() < ~std::uint32_t{0}, "MR keys exhausted");
   auto mr = std::make_unique<MemoryRegion>();
-  mr->key = ++next_key_;
+  mr->key = static_cast<std::uint32_t>(mrs_.size() + 1);
   mr->addr = addr;
   mr->length = len;
   mr->socket = socket;
   mr->data = static_cast<std::byte*>(p);
   MemoryRegion* out = mr.get();
-  mrs_.emplace(mr->key, std::move(mr));
+  mrs_.push_back(std::move(mr));
+  ++mr_count_;
   return out;
 }
 
 void Context::deregister(std::uint32_t key) {
-  auto it = mrs_.find(key);
-  if (it == mrs_.end()) return;
-  machine_.rnic().invalidate_mr(key, it->second->addr, it->second->length);
-  mrs_.erase(it);
-}
-
-MemoryRegion* Context::lookup(std::uint32_t key) {
-  auto it = mrs_.find(key);
-  return it == mrs_.end() ? nullptr : it->second.get();
+  const MemoryRegion* mr = lookup(key);
+  if (mr == nullptr) return;
+  machine_.rnic().invalidate_mr(key, mr->addr, mr->length);
+  mrs_[key - 1].reset();
+  --mr_count_;
 }
 
 CompletionQueue* Context::create_cq() {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -81,9 +80,15 @@ class Context {
 
   MemoryRegion* register_memory(std::uint64_t addr, void* p, std::size_t len,
                                 hw::SocketId socket);
+  // Keys are dense and never reused: the n-th registration gets key n.
+  // Deregistering an unknown or already deregistered key is a no-op.
   void deregister(std::uint32_t key);
-  MemoryRegion* lookup(std::uint32_t key);
-  std::size_t mr_count() const { return mrs_.size(); }
+  // nullptr for key 0, keys never issued and deregistered keys.
+  MemoryRegion* lookup(std::uint32_t key) {
+    const std::size_t i = std::size_t{key} - 1;
+    return i < mrs_.size() ? mrs_[i].get() : nullptr;
+  }
+  std::size_t mr_count() const { return mr_count_; }
 
   CompletionQueue* create_cq();
   QueuePair* create_qp(const QpConfig& cfg);
@@ -102,9 +107,10 @@ class Context {
  private:
   cluster::Cluster& cluster_;
   cluster::Machine& machine_;
-  std::uint32_t next_key_ = 0;
   std::uint64_t wr_id_ = 0;
-  std::unordered_map<std::uint32_t, std::unique_ptr<MemoryRegion>> mrs_;
+  // Indexed by key - 1; a deregistered key leaves a null slot.
+  std::vector<std::unique_ptr<MemoryRegion>> mrs_;
+  std::size_t mr_count_ = 0;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<QueuePair>> qps_;
   std::vector<std::unique_ptr<SharedReceiveQueue>> srqs_;

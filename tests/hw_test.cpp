@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+
 #include "hw/coherence.hpp"
 #include "hw/dram.hpp"
 #include "hw/mcache.hpp"
@@ -111,6 +115,106 @@ TEST(MetadataCache, ClearEmpties) {
   EXPECT_FALSE(c.access(Kind::kPte, 1));
 }
 
+namespace {
+
+// Reference weighted LRU: the std::list + std::unordered_map formulation
+// MetadataCache must agree with access for access.
+class RefWeightedLru {
+ public:
+  RefWeightedLru(std::size_t cap, std::size_t pte_w, std::size_t mr_w,
+                 std::size_t qp_w)
+      : cap_(cap), w_{pte_w, mr_w, qp_w} {}
+  bool access(Kind kind, std::uint64_t id) {
+    const std::uint64_t k = key(kind, id);
+    if (auto it = map_.find(k); it != map_.end()) {
+      ++hits;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return true;
+    }
+    ++misses;
+    const std::size_t w = w_[static_cast<std::size_t>(kind)];
+    if (w > cap_) return false;
+    while (occupancy + w > cap_) {
+      occupancy -= w_[lru_.back() >> 62];
+      map_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    lru_.push_front(k);
+    map_[k] = lru_.begin();
+    occupancy += w;
+    return false;
+  }
+  void invalidate(Kind kind, std::uint64_t id) {
+    const auto it = map_.find(key(kind, id));
+    if (it == map_.end()) return;
+    occupancy -= w_[it->first >> 62];
+    lru_.erase(it->second);
+    map_.erase(it);
+  }
+  void clear() {
+    lru_.clear();
+    map_.clear();
+    occupancy = 0;
+  }
+  std::size_t occupancy = 0;
+  std::uint64_t hits = 0, misses = 0;
+
+ private:
+  static std::uint64_t key(Kind kind, std::uint64_t id) {
+    return (static_cast<std::uint64_t>(kind) << 62) | (id & ((1ULL << 62) - 1));
+  }
+  std::size_t cap_;
+  std::size_t w_[3];
+  std::list<std::uint64_t> lru_;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
+};
+
+// 100k random operations against the reference: mixed kinds, ids drawn
+// from a pool a few times the capacity (so hits, misses and evictions all
+// occur), occasional ids with high bits set (masked by the key packing),
+// invalidations and rare clears.
+void diff_mcache(std::uint64_t seed, std::size_t cap, std::size_t pte_w,
+                 std::size_t mr_w, std::size_t qp_w) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << " cap " << cap);
+  hw::MetadataCache c(cap, pte_w, mr_w, qp_w);
+  RefWeightedLru ref(cap, pte_w, mr_w, qp_w);
+  sim::Rng rng(seed);
+  const std::uint64_t pool = 3 * cap + 8;
+  for (int i = 0; i < 100000; ++i) {
+    const auto kind = static_cast<Kind>(rng.uniform(3));
+    const std::uint64_t id =
+        rng.chance(0.01) ? rng.next() : rng.uniform(pool);
+    const std::uint64_t op = rng.uniform(1000);
+    if (op == 0) {
+      c.clear();
+      ref.clear();
+    } else if (op < 60) {
+      c.invalidate(kind, id);
+      ref.invalidate(kind, id);
+    } else {
+      ASSERT_EQ(c.access(kind, id), ref.access(kind, id)) << "op " << i;
+    }
+    ASSERT_EQ(c.occupancy(), ref.occupancy) << "op " << i;
+  }
+  EXPECT_EQ(c.hits(), ref.hits);
+  EXPECT_EQ(c.misses(), ref.misses);
+  EXPECT_GT(c.hits(), 0u);
+}
+
+}  // namespace
+
+TEST(MetadataCache, MatchesReferenceLru) {
+  diff_mcache(1, 1024, 1, 2, 4);  // the RNIC's default shape
+  diff_mcache(2, 64, 1, 2, 4);
+  diff_mcache(3, 37, 3, 5, 7);    // no weight divides the capacity
+  diff_mcache(4, 3, 1, 2, 4);     // capacity below the QP weight
+  diff_mcache(5, 1, 1, 1, 1);
+}
+
+TEST(MetadataCacheDeathTest, ZeroWeightAborts) {
+  EXPECT_DEATH(hw::MetadataCache(16, 1, 0, 4), "RDMASEM_CHECK");
+}
+
 // ---------------------------------------------------------------------------
 // DramModel
 
@@ -186,6 +290,115 @@ TEST(Dram, ResetClearsState) {
   d.reset();
   EXPECT_EQ(d.row_hits(), 0u);
   EXPECT_EQ(d.row_misses(), 0u);
+}
+
+namespace {
+
+// Reference DRAM row model: the std::list + std::unordered_map open-row LRU
+// that DramModel must agree with, charge for charge.
+class RefDram {
+ public:
+  explicit RefDram(const hw::ModelParams& p) : p_(p) {}
+  sim::Duration access(std::uint64_t addr, std::size_t size, bool write,
+                       bool same) {
+    const std::uint64_t first = addr / p_.dram_line_bytes;
+    const std::uint64_t last =
+        (addr + (size ? size - 1 : 0)) / p_.dram_line_bytes;
+    sim::Duration total = 0;
+    std::uint32_t pending = 0;
+    for (std::uint64_t line = first; line <= last; ++line) {
+      if (line == last_line_) {
+        total += p_.dram_line_hit;
+        continue;
+      }
+      const std::uint64_t row = line * p_.dram_line_bytes / p_.dram_row_bytes;
+      if (auto it = map_.find(row); it != map_.end()) {
+        ++row_hits;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        total += p_.dram_row_hit;
+        continue;
+      }
+      ++row_misses;
+      if (map_.size() >= p_.dram_banks) {
+        map_.erase(lru_.back());
+        lru_.pop_back();
+      }
+      lru_.push_front(row);
+      map_[row] = lru_.begin();
+      total += (++pending % p_.dram_mlp == 1 || p_.dram_mlp == 1)
+                   ? p_.dram_row_miss
+                   : p_.dram_row_hit;
+    }
+    last_line_ = last;
+    if (write) total = total * 3 / 4;
+    if (!same) {
+      total += p_.mem_remote_socket_latency - p_.mem_local_latency;
+      total = static_cast<sim::Duration>(
+          static_cast<double>(total) *
+          (p_.mem_local_gbps / p_.mem_remote_socket_gbps));
+    }
+    return std::max(total, hw::ModelParams::ser_time(
+                               size, same ? p_.mem_local_gbps
+                                          : p_.mem_remote_socket_gbps));
+  }
+  std::uint64_t row_hits = 0, row_misses = 0;
+
+ private:
+  const hw::ModelParams& p_;
+  std::list<std::uint64_t> lru_;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
+  std::uint64_t last_line_ = ~std::uint64_t{0};
+};
+
+// 100k random accesses against the reference: sizes 1..1023 B over a span
+// of 24 rows (so open rows hit and get evicted), both ops and both sockets,
+// and every fourth access starting just before the previous access's last
+// line so that line falls inside the new range.
+void diff_dram(std::uint64_t seed, const hw::ModelParams& p) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << " banks "
+                                  << p.dram_banks << " mlp " << p.dram_mlp);
+  hw::DramModel d(p);
+  RefDram ref(p);
+  sim::Rng rng(seed);
+  std::uint64_t prev_end = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const std::size_t size = 1 + rng.uniform(1023);
+    const std::uint64_t back = rng.uniform(size);
+    const std::uint64_t addr =
+        rng.uniform(4) == 0 && prev_end >= back
+            ? prev_end - back
+            : rng.uniform(24 * p.dram_row_bytes);
+    const bool write = rng.chance(0.5);
+    const bool same = rng.chance(0.5);
+    ASSERT_EQ(d.access(addr, size,
+                       write ? hw::DramModel::Op::kWrite
+                             : hw::DramModel::Op::kRead,
+                       same),
+              ref.access(addr, size, write, same))
+        << "access " << i;
+    prev_end = addr + size - 1;
+  }
+  EXPECT_EQ(d.row_hits(), ref.row_hits);
+  EXPECT_EQ(d.row_misses(), ref.row_misses);
+  EXPECT_GT(d.row_hits(), 0u);
+}
+
+}  // namespace
+
+TEST(Dram, MatchesReferenceRowModel) {
+  hw::ModelParams p;
+  diff_dram(1, p);  // 16 banks, MLP 4
+  p.dram_banks = 1;
+  diff_dram(2, p);
+  p.dram_banks = 5;
+  p.dram_mlp = 1;
+  diff_dram(3, p);
+}
+
+TEST(DramDeathTest, ZeroBanksAborts) {
+  hw::ModelParams p;
+  p.dram_banks = 0;
+  EXPECT_DEATH(hw::DramModel{p}, "RDMASEM_CHECK");
 }
 
 // ---------------------------------------------------------------------------

@@ -345,6 +345,36 @@ TEST(VerbsMr, DeregisterInvalidatesKey) {
   EXPECT_EQ(tb.ctx[0]->lookup(key), nullptr);
 }
 
+TEST(VerbsMr, DenseKeysAreNeverReused) {
+  Testbed tb;
+  v::Context& ctx = *tb.ctx[0];
+  const std::size_t base = ctx.mr_count();  // the rig may register some
+  v::Buffer a(4096), b(4096), c(4096);
+  const std::uint32_t ka = ctx.register_buffer(a, 0)->key;
+  const std::uint32_t kb = ctx.register_buffer(b, 0)->key;
+  EXPECT_EQ(kb, ka + 1);
+  EXPECT_EQ(ctx.mr_count(), base + 2);
+  EXPECT_EQ(ctx.lookup(0), nullptr);
+  EXPECT_EQ(ctx.lookup(kb + 1), nullptr);  // past the last key
+  EXPECT_EQ(ctx.lookup(~std::uint32_t{0}), nullptr);
+
+  ctx.deregister(ka);
+  EXPECT_EQ(ctx.lookup(ka), nullptr);
+  EXPECT_EQ(ctx.mr_count(), base + 1);
+  ctx.deregister(ka);  // second deregister: no-op
+  ctx.deregister(0);
+  ctx.deregister(kb + 1);
+  EXPECT_EQ(ctx.mr_count(), base + 1);
+  EXPECT_EQ(ctx.lookup(kb)->key, kb);
+
+  // A registration after a deregister takes a fresh key.
+  v::MemoryRegion* mc = ctx.register_buffer(c, 0);
+  EXPECT_EQ(mc->key, kb + 1);
+  EXPECT_EQ(ctx.lookup(mc->key), mc);
+  EXPECT_EQ(ctx.lookup(ka), nullptr);
+  EXPECT_EQ(ctx.mr_count(), base + 2);
+}
+
 TEST(VerbsMr, ContainsChecksOverflowSafe) {
   v::MemoryRegion mr;
   mr.addr = 1000;
