@@ -10,8 +10,8 @@
 //     sweep, prints the table — the rows a reader compares against the
 //     paper's figure — and writes BENCH_<name>.json.
 //
-// Points run in declaration order because simulated addresses come from a
-// process-wide cursor (verbs::Buffer): reordering a sweep shifts them.
+// Points run in declaration order only because each report's committed
+// table row order pins it: a point's results depend on its config alone.
 //
 // Workload sizes honor the RDMASEM_* environment knobs (README) so the
 // paper-scale runs are reproducible on bigger machines.

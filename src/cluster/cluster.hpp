@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -80,6 +81,21 @@ class Cluster {
   // Cluster-wide unique QP ids (metadata-cache keys must never alias).
   std::uint64_t next_qp_id() { return ++qp_id_; }
 
+  // Simulated RDMA address for a new memory registration of `length`
+  // bytes (docs/PERF.md, "Simulated addresses"). The translation cache
+  // keys on page numbers and the DRAM model on row numbers, so addresses
+  // are model state and belong to the cluster, never to the host heap.
+  // A bump allocator from kSimVaBase: every region starts on a row,
+  // is followed by one guard row and is never recycled, so no two
+  // registrations share a page, row or cache line.
+  static constexpr std::uint64_t kSimVaBase = std::uint64_t{1} << 46;
+  std::uint64_t next_mr_addr(std::size_t length) {
+    constexpr std::uint64_t kRow = 8192;
+    const std::uint64_t addr = va_cursor_;
+    va_cursor_ += (length + kRow - 1) / kRow * kRow + kRow;
+    return addr;
+  }
+
   // Visits every contended sim::Resource of the testbed in a fixed order
   // (machines: per-port EU/RX/atomic unit, RNIC DMA, per-socket memory
   // channels; then the fabric's per-(machine,port) tx/rx links). The obs
@@ -116,6 +132,7 @@ class Cluster {
   net::Fabric fabric_;
   std::vector<std::unique_ptr<Machine>> machines_;
   std::uint64_t qp_id_ = 0;
+  std::uint64_t va_cursor_ = kSimVaBase;
 };
 
 }  // namespace rdmasem::cluster

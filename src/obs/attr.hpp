@@ -27,8 +27,8 @@ class ResourceWaits {
     std::uint64_t waited = 0;  // grants with non-zero queueing delay
     sim::Duration wait_ps = 0;
     sim::Duration service_ps = 0;  // busy time (service only, no wait)
-    // Snapshot of the resource's Log2Histogram of non-zero waits (ns).
-    // Copied by bucket — the histogram itself is non-copyable (atomics).
+    // Snapshot of the resource's Log2Histogram of non-zero waits (ns), as
+    // bucket counts, so rows of the same name merge by adding them.
     std::array<std::uint64_t, util::Log2Histogram::kBuckets> buckets{};
     std::uint64_t hist_count = 0;
 

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/frame_pool.hpp"
+#include "sim/size_class_pool.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 

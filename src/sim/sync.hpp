@@ -21,69 +21,6 @@ namespace rdmasem::sim {
 // overwhelmingly common case) takes none of these detours. Waiters are
 // resumed on the lane they suspended on.
 
-// OneShotEvent — level-triggered: once set(), all current and future
-// waiters proceed immediately. Used for "experiment warm-up done" barriers.
-class OneShotEvent {
- public:
-  explicit OneShotEvent(Engine& engine)
-      : engine_(engine), home_(current_lane()) {}
-
-  void set() {
-    if (current_lane() != home_) {
-      engine_.schedule_on(home_,
-                          engine_.now() +
-                              engine_.lookahead(current_lane(), home_),
-                          [this] { set_local(); });
-      return;
-    }
-    set_local();
-  }
-  // Home-lane view; racing cross-lane set()s are still in flight.
-  bool is_set() const { return set_; }
-
-  struct Awaiter {
-    OneShotEvent& ev;
-    bool await_ready() const noexcept {
-      return current_lane() == ev.home_ && ev.set_;
-    }
-    void await_suspend(std::coroutine_handle<> h) { ev.suspend(h); }
-    void await_resume() const noexcept {}
-  };
-  Awaiter wait() { return Awaiter{*this}; }
-
- private:
-  void set_local() {
-    if (set_) return;
-    set_ = true;
-    for (const auto& w : waiters_) wake(w);
-    waiters_.clear();
-  }
-  void wake(const LaneWaiter& w) {
-    const Duration d = w.lane == home_ ? 0 : engine_.lookahead(home_, w.lane);
-    engine_.resume_on(w.lane, engine_.now() + d, w.handle);
-  }
-  void suspend(std::coroutine_handle<> h) {
-    const std::uint32_t lane = current_lane();
-    if (lane == home_) {
-      waiters_.push_back({h, lane});
-      return;
-    }
-    engine_.schedule_on(home_,
-                        engine_.now() + engine_.lookahead(lane, home_),
-                        [this, h, lane] {
-                          if (set_)
-                            wake({h, lane});
-                          else
-                            waiters_.push_back({h, lane});
-                        });
-  }
-
-  Engine& engine_;
-  const std::uint32_t home_;
-  bool set_ = false;
-  std::deque<LaneWaiter> waiters_;
-};
-
 // CountdownLatch — wait() suspends until count_down() has been called
 // `count` times. The standard join point for "spawn N executors, wait for
 // all of them". count_down() is legal from any lane: off-home calls are

@@ -5,7 +5,7 @@
 #include <exception>
 #include <utility>
 
-#include "sim/frame_pool.hpp"
+#include "sim/size_class_pool.hpp"
 #include "util/assert.hpp"
 #include "util/ptr_set.hpp"
 

@@ -3,9 +3,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <bit>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -58,37 +57,21 @@ void prefault_huge(std::byte* p, std::size_t len) {
 
 }  // namespace
 
-// Addresses depend only on the sequence of Buffer constructions, which the
-// single-threaded deterministic simulation fully determines.
-std::uint64_t Buffer::take_sim_va(std::size_t rounded, std::size_t alignment) {
-  static std::uint64_t cursor = kSimVaBase;
-  if (alignment < 8192) alignment = 8192;
-  cursor = (cursor + alignment - 1) / alignment * alignment;
-  const std::uint64_t va = cursor;
-  cursor += rounded + 8192;  // guard row between buffers
-  return va;
-}
-
-Buffer::Buffer(std::size_t size, std::size_t alignment) : size_(size) {
+Buffer::Buffer(std::size_t size) : size_(size) {
   if (size == 0) return;
-  RDMASEM_CHECK_MSG(std::has_single_bit(alignment),
-                    "buffer alignment must be a power of two");
-  // Round the allocation size up to the alignment (aligned_alloc
-  // requirement).
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  // aligned_alloc wants the size to be a multiple of the alignment.
+  const std::size_t rounded = (size + kAlignment - 1) / kAlignment * kAlignment;
   if (RDMASEM_ASAN || size < kHugePage) {
-    data_ = static_cast<std::byte*>(std::aligned_alloc(alignment, rounded));
+    data_ = static_cast<std::byte*>(std::aligned_alloc(kAlignment, rounded));
     RDMASEM_CHECK_MSG(data_ != nullptr, "buffer allocation failed");
     std::memset(data_, 0, rounded);
   } else {
     const std::size_t page = page_size();
     const bool prefault = size <= kPrefaultLimit;
     mapped_ = (rounded + page - 1) / page * page;
-    data_ = map_aligned(mapped_,
-                        std::max(alignment, prefault ? kHugePage : page));
+    data_ = map_aligned(mapped_, prefault ? kHugePage : kAlignment);
     if (prefault) prefault_huge(data_, mapped_);
   }
-  sim_addr_ = take_sim_va(rounded, alignment);
 }
 
 void Buffer::release() noexcept {

@@ -11,22 +11,16 @@ Context::Context(cluster::Cluster& cluster, cluster::MachineId machine)
 
 Context::~Context() = default;
 
-MemoryRegion* Context::register_memory(void* p, std::size_t len,
-                                       hw::SocketId socket) {
-  return register_memory(reinterpret_cast<std::uint64_t>(p), p, len, socket);
-}
-
-MemoryRegion* Context::register_memory(std::uint64_t addr, void* p,
-                                       std::size_t len, hw::SocketId socket) {
-  RDMASEM_CHECK_MSG(p != nullptr && len > 0, "empty registration");
+MemoryRegion* Context::register_buffer(Buffer& buf, hw::SocketId socket) {
+  RDMASEM_CHECK_MSG(buf.size() > 0, "empty registration");
   RDMASEM_CHECK_MSG(socket < params().sockets_per_machine, "bad socket");
   RDMASEM_CHECK_MSG(mrs_.size() < ~std::uint32_t{0}, "MR keys exhausted");
   auto mr = std::make_unique<MemoryRegion>();
   mr->key = static_cast<std::uint32_t>(mrs_.size() + 1);
-  mr->addr = addr;
-  mr->length = len;
+  mr->addr = cluster_.next_mr_addr(buf.size());
+  mr->length = buf.size();
   mr->socket = socket;
-  mr->data = static_cast<std::byte*>(p);
+  mr->data = buf.data();
   MemoryRegion* out = mr.get();
   mrs_.push_back(std::move(mr));
   ++mr_count_;

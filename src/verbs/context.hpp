@@ -68,18 +68,12 @@ class Context {
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
-  // Registers [p, p+len) as RDMA-accessible memory homed on `socket`.
-  // The RDMA-visible address equals the host pointer value.
-  MemoryRegion* register_memory(void* p, std::size_t len, hw::SocketId socket);
-  // Registers a Buffer; the RDMA-visible address is the buffer's
-  // deterministic simulated address (see Buffer::addr), decoupled from the
-  // host storage pointer.
-  MemoryRegion* register_buffer(Buffer& buf, hw::SocketId socket) {
-    return register_memory(buf.addr(), buf.data(), buf.size(), socket);
-  }
-
-  MemoryRegion* register_memory(std::uint64_t addr, void* p, std::size_t len,
-                                hw::SocketId socket);
+  // Registers `buf` as RDMA-accessible memory homed on `socket`. The
+  // region's RDMA address comes from the cluster's simulated address
+  // space (Cluster::next_mr_addr), never from the host pointer, so
+  // registering one Buffer twice gives two disjoint address ranges over
+  // the same bytes.
+  MemoryRegion* register_buffer(Buffer& buf, hw::SocketId socket);
   // Keys are dense and never reused: the n-th registration gets key n.
   // Deregistering an unknown or already deregistered key is a no-op.
   void deregister(std::uint32_t key);

@@ -3,41 +3,16 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "sim/size_class_pool.hpp"
+
 namespace rdmasem::verbs {
 
-// PayloadPool — size-classed free lists for WR payload staging buffers,
-// the FramePool pattern applied to data bytes. The per-WR pipeline stages
-// at most one payload per work request; payload sizes repeat heavily
-// (workloads sweep a few fixed transfer sizes), so a recycled buffer is
-// almost always a perfect fit and the steady-state datapath performs no
-// heap allocations. Thread-local for the same reason as FramePool: one
-// engine per thread, no locks, no cross-engine mixing. A buffer acquired
-// on one lane's thread may be released on another (a READ snapshot is
-// staged on the responder's lane and freed on the requester's); that is
-// safe — the block just retires into the releasing thread's free list.
-//
-// Under ASan the pool degrades to plain new/delete so the sanitizer keeps
-// seeing every staging-buffer lifetime.
-class PayloadPool {
- public:
-  static constexpr std::size_t kGranule = 256;  // size-class width, bytes
-  static constexpr std::size_t kClasses = 256;  // pooled up to 64 KB
-
-  static std::byte* acquire(std::size_t bytes);
-  static void release(std::byte* p, std::size_t bytes) noexcept;
-
-  struct Stats {
-    std::uint64_t reused = 0;    // acquisitions served from a free list
-    std::uint64_t fresh = 0;     // pool-classed acquisitions that hit new
-    std::uint64_t oversize = 0;  // beyond kClasses, passed through
-    std::uint64_t cached = 0;    // buffers currently parked in free lists
-  };
-  static Stats stats();
-
-  // Releases every cached buffer back to the allocator (tests, memory
-  // pressure). Outstanding buffers are unaffected.
-  static void trim() noexcept;
-};
+// PayloadPool — recycles WR payload staging buffers, pooled up to 64 KB.
+// The per-WR pipeline stages at most one payload per work request;
+// payload sizes repeat heavily (workloads sweep a few fixed transfer
+// sizes), so a recycled buffer is almost always a perfect fit and the
+// steady-state datapath performs no heap allocations.
+using PayloadPool = sim::SizeClassPool<256, 256>;
 
 // PayloadBuf — the staging slot in a WR pipeline's coroutine frame. One
 // per work request; holds the payload between the gather on the

@@ -453,11 +453,26 @@ void expect_golden(const Golden& g, std::uint64_t digest, sim::Time now,
   EXPECT_EQ(g.events, events);
 }
 
-}  // namespace
-
-TEST(Determinism, GoldenShufflePush) {
+void expect_shuffle_push_golden() {
   expect_golden(shuffle_golden(sh::Direction::kPush), 0xac084487e1e786e9ULL,
                 192515176, 16990);
+}
+
+}  // namespace
+
+TEST(Determinism, GoldenShufflePush) { expect_shuffle_push_golden(); }
+
+TEST(Determinism, GoldenShufflePushAfterUnrelatedState) {
+  // Simulated addresses belong to the cluster, so Buffers and clusters
+  // built earlier in the process cannot move a scenario's output.
+  v::Buffer stray_small(100), stray_big(3 << 20);
+  {
+    Testbed other;
+    v::Buffer b(64 << 10);
+    other.ctx[0]->register_buffer(b, 1);
+    other.ctx[5]->register_buffer(stray_big, 0);
+  }
+  expect_shuffle_push_golden();
 }
 
 TEST(Determinism, GoldenShufflePull) {

@@ -158,24 +158,6 @@ TEST(Coro, ChannelTryPop) {
   EXPECT_TRUE(ch.empty());
 }
 
-TEST(Coro, OneShotEventReleasesAllWaiters) {
-  sim::Engine e;
-  sim::OneShotEvent ev(e);
-  int released = 0;
-  auto waiter = [&]() -> Task {
-    co_await ev.wait();
-    ++released;
-  };
-  for (int i = 0; i < 5; ++i) e.spawn(waiter());
-  e.schedule_at(sim::ns(50), [&] { ev.set(); });
-  e.run();
-  EXPECT_EQ(released, 5);
-  // Late waiters pass immediately.
-  e.spawn(waiter());
-  e.run();
-  EXPECT_EQ(released, 6);
-}
-
 TEST(Coro, CountdownLatchJoinsWorkers) {
   sim::Engine e;
   sim::CountdownLatch latch(e, 3);

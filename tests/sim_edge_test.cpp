@@ -12,7 +12,7 @@
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/frame_pool.hpp"
+#include "sim/size_class_pool.hpp"
 #include "sim/resource.hpp"
 #include "sim/sync.hpp"
 

@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "testbed.hpp"
 #include "util/sanitizer.hpp"
@@ -460,19 +462,17 @@ TEST(VerbsBuffer, ZeroFilledAndAlignedInEveryTier) {
                                v::Buffer::kPrefaultLimit,
                                v::Buffer::kPrefaultLimit + 1,
                                kGiB};
-  const std::size_t alignments[] = {64, 8192, v::Buffer::kHugePage};
   for (std::size_t size : sizes) {
-    for (std::size_t align : alignments) {
-      v::Buffer b(size, align);
-      ASSERT_NE(b.data(), nullptr) << size << "/" << align;
-      EXPECT_EQ(b.size(), size);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % align, 0u)
-          << size << "/" << align;
-      EXPECT_TRUE(reads_zero(b)) << size << "/" << align;
-      b.data()[0] = std::byte{1};
-      b.data()[size - 1] = std::byte{2};
-      EXPECT_EQ(b.data()[size - 1], std::byte{2});
-    }
+    v::Buffer b(size);
+    ASSERT_NE(b.data(), nullptr) << size;
+    EXPECT_EQ(b.size(), size);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % v::Buffer::kAlignment,
+              0u)
+        << size;
+    EXPECT_TRUE(reads_zero(b)) << size;
+    b.data()[0] = std::byte{1};
+    b.data()[size - 1] = std::byte{2};
+    EXPECT_EQ(b.data()[size - 1], std::byte{2});
   }
 }
 
@@ -485,14 +485,11 @@ TEST(VerbsBuffer, MovesCarryOwnershipAcrossTiers) {
         v::Buffer src(from);
         p = src.data();
         p[from - 1] = std::byte{0x5a};
-        const std::uint64_t va = src.addr();
 
         v::Buffer moved(std::move(src));
         EXPECT_EQ(src.data(), nullptr);
         EXPECT_EQ(src.size(), 0u);
-        EXPECT_EQ(src.addr(), 0u);
         EXPECT_EQ(moved.data(), p);
-        EXPECT_EQ(moved.addr(), va);
 
         v::Buffer dst(to);
         std::byte* const old = dst.data();
@@ -501,7 +498,6 @@ TEST(VerbsBuffer, MovesCarryOwnershipAcrossTiers) {
         EXPECT_EQ(moved.size(), 0u);
         EXPECT_EQ(dst.data(), p);
         EXPECT_EQ(dst.size(), from);
-        EXPECT_EQ(dst.addr(), va);
         if (own_mapping(to)) {
           EXPECT_FALSE(is_mapped(old, to)) << to;
         }
@@ -523,34 +519,34 @@ TEST(VerbsBuffer, MovesCarryOwnershipAcrossTiers) {
 }
 
 TEST(VerbsBuffer, SimulatedAddressesArePinned) {
-  // Offsets from the first buffer's address. The host memory tier decides
-  // where a buffer's bytes live, never which simulated address it gets, so
-  // these stay fixed across tiers. The first buffer is 2 MiB aligned and
-  // no later alignment exceeds it, so the offsets do not depend on how
-  // many buffers this process built before.
+  // Offsets from Cluster::kSimVaBase in a fresh cluster: each region starts
+  // on an 8 KiB row, one guard row past the previous region's row-rounded
+  // length. The host memory tier decides where a buffer's bytes live,
+  // never which simulated address its region gets.
   struct Step {
-    std::size_t size, alignment;
+    std::size_t size;
     std::uint64_t offset;
   };
   const Step steps[] = {
-      {2 * kMiB, 2 * kMiB, 0x0},
-      {100, 64, 0x202000},
-      {4096, 8192, 0x206000},
-      {2 * kMiB - 1, 8192, 0x20a000},
-      {2 * kMiB, 8192, 0x40c000},
-      {16 * kMiB, 8192, 0x60e000},
-      {16 * kMiB + 1, 8192, 0x1610000},
-      {12345, 2 * kMiB, 0x2800000},
-      {kGiB, 8192, 0x2a02000},
-      {3 * 8192, 8192, 0x42a04000},
-      {2 * kMiB + 1, 2 * kMiB, 0x42c00000},
+      {100, 0x0},
+      {4096, 0x4000},
+      {2 * kMiB - 1, 0x8000},
+      {2 * kMiB, 0x20a000},
+      {16 * kMiB, 0x40c000},
+      {16 * kMiB + 1, 0x140e000},
+      {kGiB, 0x2412000},
+      {3 * 8192, 0x42414000},
+      {12345, 0x4241c000},
+      {2 * kMiB + 1, 0x42422000},
   };
-  std::uint64_t base = 0;
+  Testbed tb;
+  std::vector<v::Buffer> bufs;
+  bufs.reserve(std::size(steps));
   for (const Step& s : steps) {
-    v::Buffer b(s.size, s.alignment);
-    if (base == 0) base = b.addr();
-    EXPECT_GE(b.addr(), v::kSimVaBase);
-    EXPECT_EQ(b.addr() - base, s.offset) << s.size << "/" << s.alignment;
+    bufs.emplace_back(s.size);
+    const v::MemoryRegion* mr = tb.ctx[0]->register_buffer(bufs.back(), 0);
+    EXPECT_EQ(mr->addr - rdmasem::cluster::Cluster::kSimVaBase, s.offset)
+        << s.size;
   }
 }
 
@@ -571,4 +567,72 @@ TEST(VerbsBuffer, LazyTierLeavesUntouchedPagesNonResident) {
   const std::size_t grown = growth(before, resident_bytes());
   EXPECT_LT(grown, 16 * kMiB) << "1 GiB buffer made " << grown
                               << " bytes resident";
+}
+
+namespace {
+
+// Registers one fresh Buffer per size in a fresh testbed, alternating
+// between machines 0 and 1, and returns the regions' simulated addresses.
+std::vector<std::uint64_t> registered_addrs(
+    std::span<const std::size_t> sizes) {
+  Testbed tb;
+  std::vector<v::Buffer> bufs;
+  bufs.reserve(sizes.size());
+  std::vector<std::uint64_t> addrs;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    bufs.emplace_back(sizes[i]);
+    addrs.push_back(tb.ctx[i % 2]->register_buffer(bufs.back(), 1)->addr);
+  }
+  return addrs;
+}
+
+}  // namespace
+
+TEST(ClusterAddressSpace, RestartsPerCluster) {
+  const std::size_t sizes[] = {64, 4096, 8192, 100000, 3 * kMiB, 777};
+  const std::vector<std::uint64_t> first = registered_addrs(sizes);
+
+  // Host memory and a throwaway cluster built in between, with
+  // registrations of its own, must not move the next cluster's addresses.
+  v::Buffer stray_small(12345), stray_big(5 * kMiB);
+  {
+    Testbed other;
+    other.ctx[2]->register_buffer(stray_small, 0);
+    other.ctx[3]->register_buffer(stray_big, 1);
+  }
+  EXPECT_EQ(registered_addrs(sizes), first);
+}
+
+TEST(ClusterAddressSpace, DoubleRegistrationGetsDisjointRangesOverSameBytes) {
+  Testbed tb;
+  v::Buffer shared(4096), local(4096);
+  v::MemoryRegion* a = tb.ctx[1]->register_buffer(shared, 1);
+  v::MemoryRegion* b = tb.ctx[1]->register_buffer(shared, 1);
+  v::MemoryRegion* l = tb.ctx[0]->register_buffer(local, 1);
+  EXPECT_NE(a->key, b->key);
+  EXPECT_EQ(a->data, b->data);
+  EXPECT_TRUE(a->addr + a->length <= b->addr ||
+              b->addr + b->length <= a->addr);
+  auto conn = tb.connect(0, 1);
+  std::memcpy(local.data(), "via-a", 5);
+  std::memcpy(local.data() + 8, "via-b", 5);
+
+  run(tb, [](v::QueuePair* qp, v::MemoryRegion* lm, v::MemoryRegion* ma,
+             v::MemoryRegion* mb) -> sim::Task {
+    // Write through one region, read the same bytes back through the other.
+    EXPECT_TRUE((co_await qp->execute(make_write(*lm, 0, *ma, 128, 5))).ok());
+    EXPECT_TRUE((co_await qp->execute(make_read(*lm, 1024, *mb, 128, 5))).ok());
+    EXPECT_TRUE((co_await qp->execute(make_write(*lm, 8, *mb, 256, 5))).ok());
+    EXPECT_TRUE((co_await qp->execute(make_read(*lm, 2048, *ma, 256, 5))).ok());
+    // One region's rkey does not cover the other's address range.
+    v::WorkRequest wr = make_write(*lm, 0, *ma, 0, 5);
+    wr.rkey = mb->key;
+    EXPECT_EQ((co_await qp->execute(wr)).status,
+              v::Status::kRemoteAccessError);
+  }(conn.local, l, a, b));
+
+  EXPECT_EQ(std::memcmp(shared.data() + 128, "via-a", 5), 0);
+  EXPECT_EQ(std::memcmp(shared.data() + 256, "via-b", 5), 0);
+  EXPECT_EQ(std::memcmp(local.data() + 1024, "via-a", 5), 0);
+  EXPECT_EQ(std::memcmp(local.data() + 2048, "via-b", 5), 0);
 }
