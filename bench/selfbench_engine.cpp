@@ -28,6 +28,13 @@
 //               during a steady-state single-SGE write loop, on both the
 //               cache-hit and the cache-miss path, via the operator new
 //               hook below — the gate requires exactly zero.
+//               datapath_allocs/proxied does the same for cross-socket
+//               requests through remem::ProxySocketRouter (the §III-D
+//               proxy hop), also gated at exactly zero.
+//   frames_per_wr — coroutine frames per WR from FramePool's counters over
+//               a steady RC WRITE/READ/FETCH_ADD loop: post_send must cost
+//               exactly 1 frame and execute exactly 2. Skipped under ASan,
+//               where FramePool hands frames to the allocator uncounted.
 //   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end.
 //
 // One more row describes the host rather than the engine: parallel_cpus
@@ -54,8 +61,10 @@
 
 #include "apps/shuffle/shuffle.hpp"
 #include "bench_common.hpp"
+#include "remem/numa_policy.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
+#include "util/sanitizer.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator hook: every global-allocator acquisition in this
@@ -395,6 +404,95 @@ std::uint64_t datapath_steady_allocs() {
   return delta;
 }
 
+// Proxied-path allocation probe: cross-socket ProxySocketRouter::submit
+// WRITEs and READs, one at a time, from socket 0 to the remote machine's
+// socket 1, so every request takes the proxy hop (shm inbox, staging
+// slot, reply channel, proxy worker). Returns allocator hits over the 1024
+// requests after the warm-up; the gate requires zero.
+std::uint64_t proxied_steady_allocs() {
+  wl::Rig rig;
+  verbs::Buffer src(4096), dst(4096);
+  verbs::MemoryRegion* lmr = rig.ctx[0]->register_buffer(src, 0);
+  verbs::MemoryRegion* rmr = rig.ctx[1]->register_buffer(dst, 1);
+  remem::ProxySocketRouter router(rig.eng, rig.cluster.params());
+  for (hw::SocketId s = 0; s < 2; ++s) {
+    verbs::QpConfig cfg;
+    cfg.port = s;
+    cfg.core_socket = s;
+    router.add_route(s, 1, rig.connect(0, 1, cfg, cfg).local);
+  }
+  std::uint64_t delta = ~0ull;
+  auto loop = [](remem::ProxySocketRouter& r, verbs::MemoryRegion* l,
+                 verbs::MemoryRegion* rm, std::uint64_t* out) -> sim::Task {
+    const auto op = [&](int i) {
+      const std::uint64_t off = static_cast<std::uint64_t>(i % 64) * 64;
+      return r.submit(0, 1, 1,
+                      i % 2 == 0 ? wl::make_write(*l, off, *rm, off, 64)
+                                 : wl::make_read(*l, off, *rm, off, 64));
+    };
+    for (int i = 0; i < 256; ++i) (void)co_await op(i);
+    const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 1024; ++i) (void)co_await op(i);
+    *out = g_heap_allocs.load(std::memory_order_relaxed) - a0;
+  };
+  rig.eng.spawn_on(1, loop(router, lmr, rmr, &delta));
+  rig.eng.run();
+  return delta;
+}
+
+#if !RDMASEM_ASAN
+// Frames per WR from FramePool's counters: 1536 fault-free RC WRs (WRITE,
+// READ, FETCH_ADD in turn, window 1) after a warm-up. The post_send loop
+// posts and then waits, and wait() allocates no frame, so it counts the
+// pipeline's frames alone; the execute loop adds execute()'s own. The
+// ratio prints to 4 decimals, so one stray frame in 1536 WRs shows.
+struct FramesPerWr {
+  double post_send = 0;
+  double execute = 0;
+};
+
+FramesPerWr frames_per_wr() {
+  constexpr int kOps = 1536;
+  MicroRig rig(4096, 4096, 1);
+  FramesPerWr out;
+  auto loop = [](verbs::QueuePair* qp, verbs::MemoryRegion* l,
+                 verbs::MemoryRegion* r, FramesPerWr* res) -> sim::Task {
+    const auto frames = [] {
+      const auto st = sim::FramePool::stats();
+      return st.reused + st.fresh + st.oversize;
+    };
+    const auto make = [l, r](int i) {
+      if (i % 3 == 0) return wl::make_write(*l, 0, *r, 0, 64);
+      if (i % 3 == 1) return wl::make_read(*l, 0, *r, 0, 64);
+      verbs::WorkRequest wr;
+      wr.opcode = verbs::Opcode::kFetchAdd;
+      wr.sg_list = {{l->addr, 8, l->key}};
+      wr.remote_addr = r->addr;
+      wr.rkey = r->key;
+      wr.swap_or_add = 1;
+      return wr;
+    };
+    for (int i = 0; i < 256; ++i) (void)co_await qp->execute(make(i));
+    std::uint64_t f0 = frames();
+    for (int i = 0; i < kOps; ++i) {
+      verbs::WorkRequest wr = make(i);
+      wr.signaled = true;
+      wr.wr_id = qp->context().next_wr_id();
+      const std::uint64_t wid = wr.wr_id;
+      qp->post_send(std::move(wr));
+      (void)co_await qp->wait(wid);
+    }
+    res->post_send = static_cast<double>(frames() - f0) / kOps;
+    f0 = frames();
+    for (int i = 0; i < kOps; ++i) (void)co_await qp->execute(make(i));
+    res->execute = static_cast<double>(frames() - f0) / kOps;
+  };
+  rig.rig.eng.spawn_on(1, loop(rig.qps[0], rig.lmr, rig.rmr, &out));
+  rig.rig.eng.run();
+  return out;
+}
+#endif
+
 double add(const char* workload, const char* engine, double mev) {
   collector.add({workload, engine, util::fmt(mev)});
   bench::point_mops(workload, engine, mev);
@@ -431,6 +529,23 @@ void sweep() {
                     static_cast<double>(dp_allocs));
   collector.add({"datapath_allocs", "steady (1024 WRs)",
                  std::to_string(dp_allocs)});
+  const std::uint64_t px_allocs = proxied_steady_allocs();
+  bench::point_mops("datapath_allocs", "proxied",
+                    static_cast<double>(px_allocs));
+  collector.add({"datapath_allocs", "proxied (1024 requests)",
+                 std::to_string(px_allocs)});
+#if RDMASEM_ASAN
+  // The marker tells the perf gate why the rows are missing.
+  bench::point_mops("frames_per_wr", "skipped_asan", 1);
+  collector.add({"frames_per_wr", "skipped",
+                 "ASan: FramePool counts no frames"});
+#else
+  const FramesPerWr fpw = frames_per_wr();
+  bench::point_mops("frames_per_wr", "post_send", fpw.post_send);
+  bench::point_mops("frames_per_wr", "execute", fpw.execute);
+  collector.add({"frames_per_wr", "post_send", util::fmt(fpw.post_send, 4)});
+  collector.add({"frames_per_wr", "execute", util::fmt(fpw.execute, 4)});
+#endif
 
   // Record the cores that really ran the probe in parallel: the gate
   // records a baseline only on a host with at least 4.

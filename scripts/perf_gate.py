@@ -8,9 +8,15 @@ bench/selfbench_engine) and fails when the scheduler hot path got slower:
      (default 1.8x; it was 2.0x before the engine grew lane-keyed event
      ordering, which costs ~10% of dispatch, see docs/PERF.md). Both
      engines are timed in the same process on the same machine, so this
-     number is machine-independent — it is the primary criterion. The
-     datapath_allocs/steady point must be exactly 0: the steady-state
-     single-SGE hot path is not allowed to touch the heap.
+     number is machine-independent — it is the primary criterion.
+     Four exact criteria ride along, each required in the report:
+     datapath_allocs/steady and datapath_allocs/proxied must be 0 (the
+     steady-state single-SGE hot path and the cross-socket proxied
+     request path may not touch the heap), and frames_per_wr/post_send
+     and frames_per_wr/execute must be 1 and 2 coroutine frames per WR.
+     An ASan selfbench replaces the frames rows with a
+     frames_per_wr/skipped_asan marker (FramePool counts no frames
+     there); the gate then prints the skip and why.
   2. Every workload's throughput, NORMALIZED by the in-run legacy
      dispatch number (which anchors how fast the host is), must stay
      within --tolerance (default 0.20) of the checked-in baseline
@@ -50,6 +56,15 @@ import sys
 BASELINE_SCHEMA = "rdmasem-perf-baseline-v1"
 # Effective cores a baseline recording needs.
 MIN_CORES = 4
+# (series, x, required value, what it counts): exact-value criteria.
+EXACT = (
+    ("datapath_allocs", "steady", 0,
+     "steady-state heap allocations, single-SGE datapath"),
+    ("datapath_allocs", "proxied", 0,
+     "steady-state heap allocations, proxied request path"),
+    ("frames_per_wr", "post_send", 1, "coroutine frames per post_send WR"),
+    ("frames_per_wr", "execute", 2, "coroutine frames per execute WR"),
+)
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "bench",
     "selfbench_baseline.json")
@@ -178,19 +193,19 @@ def main():
         die("report lacks a speedup/dispatch point")
 
     # Workload rows: everything except the legacy anchor, the ratio row,
-    # the host-core probe and the allocation counter, which is an exact
-    # criterion of its own, not a throughput.
+    # the host-core probe and the exact-value criteria (allocation and
+    # frame counts), which are not throughputs.
     workloads = {
         f"{series}/{x}": mops
         for (series, x), mops in sorted(points.items())
-        if series not in ("speedup", "parallel_cpus", "datapath_allocs")
+        if series not in ("speedup", "parallel_cpus", "datapath_allocs",
+                          "frames_per_wr")
         and (series, x) != ("dispatch", "legacy")
     }
     normalized = {k: v / legacy for k, v in workloads.items()}
 
     par_cpus = points.get(("parallel_cpus", "host"))
     cores = effective_cores(par_cpus)
-    dp_allocs = points.get(("datapath_allocs", "steady"))
 
     if args.update_baseline:
         if cores < MIN_CORES:
@@ -232,14 +247,23 @@ def main():
             f"dispatch speedup {speedup:.2f}x fell below the "
             f"{args.min_speedup:.2f}x floor")
 
-    if dp_allocs is not None:
-        verdict = "ok" if dp_allocs == 0 else "REGRESSED"
-        print(f"perf_gate: datapath steady-state heap allocations = "
-              f"{dp_allocs:.0f} (must be 0) {verdict}")
-        if dp_allocs != 0:
-            failures.append(
-                f"datapath hot path performed {dp_allocs:.0f} steady-state "
-                "heap allocations (must be 0)")
+    asan = ("frames_per_wr", "skipped_asan") in points
+    for series, x, want, what in EXACT:
+        got = points.get((series, x))
+        if got is None and series == "frames_per_wr" and asan:
+            print(f"perf_gate: {series}/{x} ({what}): skipped, ASan build "
+                  "(FramePool passes frames to the allocator uncounted)")
+            continue
+        if got is None:
+            print(f"perf_gate: {series}/{x} ({what}): MISSING")
+            failures.append(f"report lacks {series}/{x} ({what})")
+            continue
+        verdict = "ok" if got == want else "REGRESSED"
+        print(f"perf_gate: {series}/{x} ({what}) = {got:g} "
+              f"(must be {want}) {verdict}")
+        if got != want:
+            failures.append(f"{series}/{x} ({what}) is {got:g}, "
+                            f"must be exactly {want}")
 
     for key, cur in sorted(normalized.items()):
         want = base["normalized"].get(key)

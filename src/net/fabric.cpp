@@ -15,28 +15,23 @@ Fabric::Fabric(sim::Engine& engine, const hw::ModelParams& params,
   link_drops_.assign(n, 0);
 }
 
-sim::TaskT<void> Fabric::transit(MachineId src, PortId sport, MachineId dst,
-                                 PortId dport, std::size_t payload_bytes) {
+Leg Fabric::transit(MachineId src, PortId sport, MachineId dst, PortId dport,
+                    std::size_t payload_bytes) {
   ++messages_;
   bytes_ += payload_bytes;
-  const sim::Duration wire = p_.wire_time(payload_bytes);
   if (src == dst && sport == dport) {
     // RNIC-internal loopback: no switch, no cable; just the port turnaround.
-    co_await sim::delay(engine_, p_.net_switch_hop);
-    co_return;
+    return {0, p_.net_switch_hop, 0, true};
   }
-  sim::Duration hop = p_.hop_latency(src, dst);
-  // Congestion / rerouting faults show up as extra propagation latency;
-  // read at send time, before the hop.
+  Leg leg;
+  leg.wire = p_.wire_time(payload_bytes);
+  leg.hop = p_.hop_latency(src, dst);
   if (faults_ != nullptr && faults_->active())
-    hop += faults_->extra_latency(src, sport, dst, dport);
-  co_await tx_link(src, sport).use(wire);
-  // Propagation + switching carries execution from the sender's lane to
-  // the receiver's. On a bare engine (no cluster lanes) the destination
-  // lane collapses to the current one and this is a plain delay.
-  const std::uint32_t dst_lane = dst + 1 < engine_.lanes() ? dst + 1 : 0;
-  co_await sim::hop(engine_, dst_lane, hop);
-  co_await rx_link(dst, dport).use(wire);
+    leg.hop += faults_->extra_latency(src, sport, dst, dport);
+  // On a bare engine (no cluster lanes) the destination lane collapses to
+  // lane 0 and the hop is a plain delay there.
+  leg.dst_lane = dst + 1 < engine_.lanes() ? dst + 1 : 0;
+  return leg;
 }
 
 bool Fabric::dropped(MachineId src, PortId sport, MachineId dst, PortId dport) {

@@ -8,7 +8,6 @@
 #include "hw/params.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
-#include "sim/task.hpp"
 
 namespace rdmasem::net {
 
@@ -26,21 +25,32 @@ using PortId = std::uint32_t;
 // Bandwidth contention on a host link therefore emerges when several QPs
 // mapped to the same port transmit simultaneously.
 //
-// Transit is also where execution migrates between lanes: tx
+// A transit is also where execution migrates between lanes: tx
 // serialization runs on the sender machine's lane, the propagation+switch
-// hop is a sim::hop() onto the receiver's lane, and rx serialization runs
-// there.
+// hop carries execution onto the receiver's lane, and rx serialization
+// runs there.
+
+// One message's transit as Fabric::transit prices it. The caller walks it
+// (verbs::QueuePair's deliver): tx_link(src).use(wire), a hop of `hop`
+// onto `dst_lane`, rx_link(dst).use(wire) — or, for a loopback, a delay.
+struct Leg {
+  sim::Duration wire = 0;      // serialization time on each host link
+  sim::Duration hop = 0;       // propagation + switch, or loopback turnaround
+  std::uint32_t dst_lane = 0;  // the receiver's lane
+  bool loopback = false;       // same machine and port: no links, no hop
+};
+
 class Fabric {
  public:
   Fabric(sim::Engine& engine, const hw::ModelParams& params,
          std::uint32_t machines, std::uint32_t ports_per_machine);
 
-  // Moves `payload_bytes` (plus header overhead) from (src,sport) to
-  // (dst,dport). Resumes the caller when the last byte lands at the
-  // receiver's link. Loopback (same machine+port) is free of wire costs
-  // but still pays switch-less local turnaround.
-  sim::TaskT<void> transit(MachineId src, PortId sport, MachineId dst,
-                           PortId dport, std::size_t payload_bytes);
+  // Counts one message of `payload_bytes` (plus header overhead) from
+  // (src,sport) to (dst,dport) and prices it. Loopback (same machine+port)
+  // is free of wire costs but still pays switch-less local turnaround.
+  // Congestion/rerouting faults add to the hop, read now (at send time).
+  Leg transit(MachineId src, PortId sport, MachineId dst, PortId dport,
+              std::size_t payload_bytes);
 
   // Loss decision for a message that just transited src -> dst. Consults
   // the per-link fault state first (loss bursts, dead links, partitions,

@@ -128,7 +128,7 @@ sim::TaskT<verbs::Completion> ProxySocketRouter::submit(
     co_await sim::delay(engine_, cpu);
   }
   // Rewrite the WR to use the staging slot (one contiguous SGE).
-  req.wr = wr;
+  req.wr = std::move(wr);
   req.wr.sg_list = {{route->staging_mr->addr + slot * kSlotBytes,
                      static_cast<std::uint32_t>(total ? total : 8),
                      route->staging_mr->key}};

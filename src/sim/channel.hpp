@@ -1,12 +1,12 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
+#include "util/ring.hpp"
 
 namespace rdmasem::sim {
 
@@ -93,8 +93,8 @@ class Channel {
   }
 
   Engine& engine_;
-  std::deque<T> items_;
-  std::deque<LaneWaiter> waiters_;
+  util::Ring<T, 2> items_;
+  util::Ring<LaneWaiter, 2> waiters_;
   bool wake_pending_ = false;
   // Set while a wake resumes a consumer; see wake_one().
   bool* alive_ = nullptr;

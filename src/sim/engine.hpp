@@ -85,8 +85,8 @@ struct LaneTopology {
 // its dispatch key is (origin_lane << 48) | per_lane_seq, so ties at one
 // timestamp order by (origin lane, per-lane schedule order), and each lane
 // draws from its own RNG stream. Lanes decide which machine's state a
-// coroutine may touch (see hop() and settle()); the engine itself runs
-// every lane on the calling thread.
+// coroutine may touch (see step_on() and settle()); the engine itself
+// runs every lane on the calling thread.
 class Engine {
  public:
   static constexpr std::uint32_t kLaneShift = 48;
@@ -156,6 +156,14 @@ class Engine {
     resume_from(caller_lane(), lane, at, h);
   }
 
+  // Schedules a Step (see sim::Event) on `lane`: the frame-less
+  // counterpart of resume_on, keyed by the calling lane in the same way,
+  // for awaitables that run their own phase state machine.
+  void step_on(std::uint32_t lane, Time at, Step* s) {
+    push_event(lane, Event{at < now_ ? now_ : at, key_for(caller_lane()),
+                           Event::step_target(s), lane});
+  }
+
   // Transfers ownership of a Task to the engine and starts it at now()
   // on the calling lane (spawn) or an explicit lane (spawn_on). Root
   // tasks that drive a machine belong on that machine's lane
@@ -198,10 +206,10 @@ class Engine {
   }
   // Inline grant for a cross-lane hop: the same (at, key) front-of-queue
   // check as try_inline_advance, with the would-be key carrying the
-  // ORIGIN lane, exactly as resume_on would build it. On grant the exec
-  // context migrates to `lane`, just as dispatching the event would have
-  // set it from Event::exec_lane, so the whole verb pipeline (request leg,
-  // response leg, completion) can ride the fast path.
+  // ORIGIN lane, exactly as resume_on/step_on would build it. On grant
+  // the exec context migrates to `lane`, just as dispatching the event
+  // would have set it from Event::exec_lane, so the whole verb pipeline
+  // (request leg, response leg, completion) can ride the fast path.
   bool try_inline_hop(std::uint32_t lane, Duration d) {
     if (detail::t_exec.eng != this || lane >= lanes_) return false;
     if (!try_inline_advance(now_ + d)) return false;
@@ -322,26 +330,6 @@ inline DelayAwaiter delay(Engine& e, Duration d) { return {e, d}; }
 
 // Yield: reschedule at the current time, behind already-queued events.
 inline DelayAwaiter yield(Engine& e) { return {e, 0}; }
-
-// Awaitable returned by hop(): suspends the coroutine and resumes it `d`
-// later ON `lane` — the only way execution migrates between lanes. May be
-// granted inline like a delay (see Engine::try_inline_hop).
-struct HopAwaiter {
-  Engine& engine;
-  std::uint32_t lane;
-  Duration d;
-  bool await_ready() const noexcept {
-    return engine.try_inline_hop(lane, d);
-  }
-  void await_suspend(std::coroutine_handle<> h) const {
-    engine.resume_on(lane, engine.now() + d, h);
-  }
-  void await_resume() const noexcept {}
-};
-
-inline HopAwaiter hop(Engine& e, std::uint32_t lane, Duration d) {
-  return {e, lane, d};
-}
 
 // Conditional hop: no-op when the caller is already on `lane`, otherwise
 // a hop of one (caller -> lane) lookahead, the latency the lane topology

@@ -55,6 +55,15 @@ CallBox* CallBox::make(F&& fn) {
   return ::new (FramePool::allocate(sizeof(Box))) Box(std::forward<F>(fn));
 }
 
+// A non-owning event target for hand-written awaitables: a phase state
+// machine embeds a Step and has the engine call `fn(step)` at the event's
+// time, on the event's lane, instead of resuming a coroutine frame. The
+// owner keeps the Step alive until it fires (it lives in the awaiting
+// coroutine's frame); nothing frees it, so dropping the event is a no-op.
+struct Step {
+  void (*fn)(Step* self);
+};
+
 // One scheduled engine event: 32 bytes, trivially copyable, so bucket
 // appends, cursor-bucket sorts and overflow-heap sifts move half a cache
 // line. (at, seq) is the total dispatch order: earlier time first, then
@@ -63,14 +72,17 @@ CallBox* CallBox::make(F&& fn) {
 // per-lane order. `exec_lane` is the lane the event runs on (differs from
 // the origin lane only for cross-lane hops/wakes).
 //
-// `target` is a coroutine frame address (resume), or a CallBox pointer
-// with the low bit set (invoke). Frames and boxes both come from
-// operator new, so the bit is always free. A callable event OWNS its box
-// until fire() or drop(); copies share it, so every holder that never
-// fires an event must drop it exactly once (EventQueue::clear at engine
-// teardown).
+// `target` is one of three kinds, told apart by its low bits: a
+// coroutine frame address (resume), a CallBox pointer with bit 0 set
+// (invoke), or a Step pointer with bit 1 set (call step->fn). Frames and
+// boxes come from operator new and Steps are pointer-aligned, so both
+// bits are always free. A callable event OWNS its box until fire() or
+// drop(); copies share it, so every holder that never fires an event must
+// drop it exactly once (EventQueue::clear at engine teardown). Frames and
+// Steps are not owned by the event.
 struct Event {
   static constexpr std::uintptr_t kCallTag = 1;
+  static constexpr std::uintptr_t kStepTag = 2;
 
   Time at = 0;
   std::uint64_t seq = 0;
@@ -84,10 +96,17 @@ struct Event {
   static std::uintptr_t call_target(CallBox* box) {
     return reinterpret_cast<std::uintptr_t>(box) | kCallTag;
   }
+  static std::uintptr_t step_target(Step* step) {
+    return reinterpret_cast<std::uintptr_t>(step) | kStepTag;
+  }
 
-  // Runs the event: resumes the coroutine or invokes (and frees) the box.
+  // Runs the event: resumes the coroutine, calls the step, or invokes
+  // (and frees) the box.
   void fire() const {
-    if (target & kCallTag) [[unlikely]] {
+    if (target & kStepTag) {
+      Step* step = reinterpret_cast<Step*>(target & ~kStepTag);
+      step->fn(step);
+    } else if (target & kCallTag) {
       CallBox* box = reinterpret_cast<CallBox*>(target & ~kCallTag);
       box->op(box, true);
     } else {
@@ -95,7 +114,7 @@ struct Event {
           .resume();
     }
   }
-  // Frees an unfired callable's box; coroutine frames are not owned here.
+  // Frees an unfired callable's box; frames and steps are not owned here.
   void drop() const {
     if (target & kCallTag) {
       CallBox* box = reinterpret_cast<CallBox*>(target & ~kCallTag);

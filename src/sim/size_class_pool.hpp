@@ -45,11 +45,11 @@ class SizeClassPool {
 };
 
 // FramePool — recycles coroutine frames, pooled up to 8 KB. Every
-// simulated activity is a TaskT<> coroutine; the per-WR pipeline
-// (verbs::QueuePair::run_wr and the fabric/RNIC legs it awaits) allocates
-// and frees one frame per work request, and frames of one coroutine
-// function always have the same size. The engine's scheduled-callable
-// boxes (sim::CallBox) share the pool.
+// simulated activity is a TaskT<> coroutine; a posted WR allocates and
+// frees exactly one frame, its verbs::QueuePair::run_wr pipeline (the
+// fabric legs, post() and wait() are frame-less awaitables), and frames
+// of one coroutine function always have the same size. The engine's
+// scheduled-callable boxes (sim::CallBox) share the pool.
 using FramePool = SizeClassPool<64, 128>;
 
 }  // namespace rdmasem::sim

@@ -2,10 +2,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
+#include "util/ring.hpp"
 
 namespace rdmasem::sim {
 
@@ -58,8 +58,7 @@ class CountdownLatch {
   void dec_local() {
     RDMASEM_CHECK_MSG(remaining_ > 0, "latch underflow");
     if (--remaining_ == 0) {
-      for (const auto& w : waiters_) wake(w);
-      waiters_.clear();
+      for (; !waiters_.empty(); waiters_.pop_front()) wake(waiters_.front());
     }
   }
   void wake(const LaneWaiter& w) {
@@ -85,7 +84,7 @@ class CountdownLatch {
   Engine& engine_;
   const std::uint32_t home_;
   std::uint64_t remaining_;  // mutated on the home lane only
-  std::deque<LaneWaiter> waiters_;
+  util::Ring<LaneWaiter, 2> waiters_;
 };
 
 // Semaphore — counting semaphore with FIFO waiters; models bounded
@@ -144,7 +143,7 @@ class Semaphore {
   Engine& engine_;
   std::uint64_t count_;
   std::uint32_t home_ = kUnbound;
-  std::deque<LaneWaiter> waiters_;
+  util::Ring<LaneWaiter, 2> waiters_;
 };
 
 }  // namespace rdmasem::sim

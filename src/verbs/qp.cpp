@@ -207,15 +207,18 @@ sim::Duration QueuePair::post_cost(std::size_t n_wrs,
   return d;
 }
 
-sim::TaskT<void> QueuePair::post(WorkRequest wr) {
+QueuePair::PostAwaiter QueuePair::post(WorkRequest wr) {
   const std::size_t inl = wr.inline_data ? wr.total_length() : 0;
-  const sim::Time t0 = ctx_.engine().now();
-  co_await sim::delay(ctx_.engine(), post_cost(1, inl));
-  obs::Tracer& tr = ctx_.cluster().obs().tracer;
+  sim::Engine& eng = ctx_.engine();
+  return {{eng, post_cost(1, inl)}, *this, std::move(wr), eng.now()};
+}
+
+void QueuePair::PostAwaiter::await_resume() {
+  obs::Tracer& tr = qp.ctx_.cluster().obs().tracer;
   if (tr.enabled())
-    tr.span(obs::Stage::kPost, t0, ctx_.engine().now(), wr.wr_id, id_,
-            ctx_.machine().id(), static_cast<std::uint8_t>(wr.opcode));
-  post_send(std::move(wr));
+    tr.span(obs::Stage::kPost, t0, engine.now(), wr.wr_id, qp.id_,
+            qp.ctx_.machine().id(), static_cast<std::uint8_t>(wr.opcode));
+  qp.post_send(std::move(wr));
 }
 
 sim::TaskT<Completion> QueuePair::execute(WorkRequest wr) {
@@ -253,34 +256,29 @@ QueuePair::Waiter* QueuePair::find_waiter(std::uint64_t wr_id) {
   return nullptr;
 }
 
-sim::TaskT<Completion> QueuePair::wait(std::uint64_t wr_id) {
-  struct Awaiter {
-    QueuePair& qp;
-    std::uint64_t wr_id;
-    bool await_ready() {
-      const Waiter* w = qp.find_waiter(wr_id);
-      return w != nullptr && w->done;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      Waiter* w = qp.find_waiter(wr_id);
-      if (w == nullptr) {
-        qp.waiters_.emplace_back();
-        w = &qp.waiters_.back();
-        w->wr_id = wr_id;
-      }
-      w->handle = h;
-    }
-    Completion await_resume() {
-      Waiter* w = qp.find_waiter(wr_id);
-      RDMASEM_CHECK(w != nullptr && w->done);
-      Completion c = w->result;
-      // Swap-pop erase: slot order carries no meaning, capacity is kept.
-      *w = std::move(qp.waiters_.back());
-      qp.waiters_.pop_back();
-      return c;
-    }
-  };
-  co_return co_await Awaiter{*this, wr_id};
+bool QueuePair::WaitAwaiter::await_ready() {
+  const Waiter* w = qp.find_waiter(wr_id);
+  return w != nullptr && w->done;
+}
+
+void QueuePair::WaitAwaiter::await_suspend(std::coroutine_handle<> h) {
+  Waiter* w = qp.find_waiter(wr_id);
+  if (w == nullptr) {
+    qp.waiters_.emplace_back();
+    w = &qp.waiters_.back();
+    w->wr_id = wr_id;
+  }
+  w->handle = h;
+}
+
+Completion QueuePair::WaitAwaiter::await_resume() {
+  Waiter* w = qp.find_waiter(wr_id);
+  RDMASEM_CHECK(w != nullptr && w->done);
+  Completion c = w->result;
+  // Swap-pop erase: slot order carries no meaning, capacity is kept.
+  *w = std::move(qp.waiters_.back());
+  qp.waiters_.pop_back();
+  return c;
 }
 
 void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
@@ -341,41 +339,116 @@ void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
 // rc_retransmit_cap) until cfg_.retry_cnt attempts are spent
 // (kInfiniteRetry never gives up). UC/UD get exactly one shot.
 //
-// Fabric::transit carries execution to the destination's lane, and the
-// drop decision is drawn there (destination RNG + fault state). A
-// retransmit rides the sender's timeout back: hop(src, backoff), which
-// lands at the retransmit's virtual time on the sender's lane. Final
-// failure hops to `home_machine` the same way — the backoff timeout is
-// how the requester learns the leg is dead.
-sim::TaskT<bool> QueuePair::deliver(std::uint32_t src_machine,
-                                    std::uint32_t sport,
-                                    std::uint32_t dst_machine,
-                                    std::uint32_t dport, std::size_t bytes,
-                                    bool reliable,
-                                    std::uint32_t home_machine) {
-  auto& eng = ctx_.engine();
-  const auto& P = ctx_.params();
-  auto& fabric = ctx_.cluster().fabric();
-  obs::Hub& hub = ctx_.cluster().obs();
-  const std::uint32_t src_lane = src_machine + 1;
-  const std::uint32_t home_lane = home_machine + 1;
-  sim::Duration backoff = P.rc_retransmit;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    co_await fabric.transit(src_machine, sport, dst_machine, dport, bytes);
-    if (!fabric.dropped(src_machine, sport, dst_machine, dport))
-      co_return true;
-    if (!reliable ||
-        (cfg_.retry_cnt != kInfiniteRetry && attempt >= cfg_.retry_cnt)) {
-      if (sim::current_lane() != home_lane)
-        co_await sim::hop(eng, home_lane, backoff);
-      co_return false;
-    }
-    ++retransmits_;
-    hub.retransmits.inc();
-    hub.backoff_ps.inc(backoff);
-    co_await sim::hop(eng, src_lane, backoff);
-    backoff = std::min(backoff * 2, P.rc_retransmit_cap);
+// Each attempt is priced by Fabric::transit and walked phase by phase:
+// tx-link grant on the sender's lane, the propagation+switch hop onto the
+// destination's lane, rx-link grant there, then the drop decision, drawn
+// there (destination RNG + fault state). A retransmit rides the sender's
+// timeout back: a hop of `backoff` to the sender's lane, landing at the
+// retransmit's virtual time. Final failure hops to `home` the same way —
+// the timeout is how the requester learns the leg is dead.
+//
+// A hand-written awaitable, not a coroutine: its state lives in the
+// awaiting run_wr frame, and a phase that cannot be granted inline
+// schedules the embedded sim::Step. Each phase makes the inline-grant
+// check and the push, under the origin-lane key, that a Resource::use,
+// hop or delay await makes, so every event keeps its (at, key).
+struct QueuePair::Deliver : sim::Step {
+  // kSend prices an attempt and takes the tx-link grant; kLanded draws
+  // the drop decision; kHome follows the give-up hop.
+  enum class Phase : std::uint8_t { kSend, kHop, kRx, kLanded, kHome };
+
+  QueuePair& qp;
+  std::uint32_t src, sport, dst, dport, home;
+  std::size_t bytes;
+  bool reliable;
+  sim::Duration backoff;
+  std::uint32_t attempt = 0;
+  Phase phase = Phase::kSend;
+  bool ok = false;
+  net::Leg leg{};
+  std::coroutine_handle<> cont{};
+
+  bool await_ready() { return advance(); }
+  void await_suspend(std::coroutine_handle<> h) { cont = h; }
+  bool await_resume() const noexcept { return ok; }
+
+  static void on_step(sim::Step* s) {
+    auto* d = static_cast<Deliver*>(s);
+    // Resuming may end the awaiting frame and this object with it.
+    if (d->advance()) d->cont.resume();
   }
+
+  // Lands on `lane` at `at`: inline when the wakeup would be the next
+  // dispatch anyway (try_inline_hop; on the current lane that is
+  // try_inline_advance), else as this step's event. True if inline.
+  bool wait_until(sim::Engine& eng, std::uint32_t lane, sim::Time at) {
+    if (eng.try_inline_hop(lane, at - eng.now())) return true;
+    eng.step_on(lane, at, this);
+    return false;
+  }
+
+  // Runs phases until one has to wait for an event (false: the step is
+  // scheduled) or the leg's outcome is known (true: `ok` holds it).
+  bool advance() {
+    sim::Engine& eng = qp.ctx_.engine();
+    net::Fabric& fabric = qp.ctx_.cluster().fabric();
+    for (;;) {
+      switch (phase) {
+        case Phase::kSend: {
+          leg = fabric.transit(src, sport, dst, dport, bytes);
+          phase = leg.loopback ? Phase::kLanded : Phase::kHop;
+          const sim::Time at =
+              leg.loopback ? eng.now() + leg.hop
+                           : fabric.tx_link(src, sport).reserve(leg.wire);
+          if (!wait_until(eng, sim::current_lane(), at)) return false;
+          break;
+        }
+        case Phase::kHop:
+          phase = Phase::kRx;
+          if (!wait_until(eng, leg.dst_lane, eng.now() + leg.hop)) return false;
+          break;
+        case Phase::kRx:
+          phase = Phase::kLanded;
+          if (!wait_until(eng, sim::current_lane(),
+                          fabric.rx_link(dst, dport).reserve(leg.wire)))
+            return false;
+          break;
+        case Phase::kLanded: {
+          if (!fabric.dropped(src, sport, dst, dport)) {
+            ok = true;
+            return true;
+          }
+          const std::uint32_t budget = qp.cfg_.retry_cnt;
+          if (!reliable || (budget != kInfiniteRetry && attempt >= budget)) {
+            if (sim::current_lane() == home + 1) return true;
+            phase = Phase::kHome;
+            if (!wait_until(eng, home + 1, eng.now() + backoff)) return false;
+            break;
+          }
+          ++qp.retransmits_;
+          obs::Hub& hub = qp.ctx_.cluster().obs();
+          hub.retransmits.inc();
+          hub.backoff_ps.inc(backoff);
+          const sim::Time at = eng.now() + backoff;
+          backoff = std::min(backoff * 2, qp.ctx_.params().rc_retransmit_cap);
+          ++attempt;
+          phase = Phase::kSend;
+          if (!wait_until(eng, src + 1, at)) return false;
+          break;
+        }
+        case Phase::kHome:
+          return true;
+      }
+    }
+  }
+};
+
+QueuePair::Deliver QueuePair::deliver(std::uint32_t src, std::uint32_t sport,
+                                      std::uint32_t dst, std::uint32_t dport,
+                                      std::size_t bytes, bool reliable,
+                                      std::uint32_t home) {
+  return {{&Deliver::on_step}, *this, src, sport, dst, dport, home, bytes,
+          reliable, ctx_.params().rc_retransmit};
 }
 
 void QueuePair::gather_sges(Context& ctx, const Sge* sges, std::size_t n,

@@ -22,10 +22,17 @@ namespace rdmasem::verbs {
 //   * post_send / post_send_batch: "hardware time" only — the WQEs become
 //     visible to the RNIC now; the caller's CPU cost is NOT charged.
 //     post_send_batch is a doorbell list: one MMIO for all WRs (§III-A).
-//   * post / execute / execute_batch: coroutine helpers that first charge
+//   * post / execute / execute_batch: CPU-charged forms that first charge
 //     the calling task the CPU posting cost (WQE prep per WR + one MMIO +
 //     NUMA MMIO penalty), then post. execute() also awaits the completion.
+//     post() and wait() are awaitables, not tasks: they allocate no
+//     coroutine frame and must be co_awaited in the full-expression that
+//     creates them.
+//
+// A posted WR costs one coroutine frame (run_wr); execute() adds its own.
 class QueuePair {
+  struct Deliver;
+
  public:
   QueuePair(Context& ctx, const QpConfig& cfg, std::uint64_t id);
 
@@ -55,10 +62,28 @@ class QueuePair {
   void post_send_batch(std::vector<WorkRequest>&& wrs);
   void post_recv(const RecvRequest& rr);
 
-  // ---- CPU-charged coroutine helpers -----------------------------------
+  // ---- CPU-charged posting ---------------------------------------------
+  // Awaitable of post(): the posting cost is a sim::delay of the awaiting
+  // task (granted inline when nothing else is due first), and the WR is
+  // posted when it ends.
+  struct PostAwaiter : sim::DelayAwaiter {
+    QueuePair& qp;
+    WorkRequest wr;
+    sim::Time t0;
+    void await_resume();
+  };
+  // Awaitable of wait(): resumes with the WR's completion.
+  struct WaitAwaiter {
+    QueuePair& qp;
+    std::uint64_t wr_id;
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> h);
+    Completion await_resume();
+  };
+
   // CPU cost of posting `n_wrs` WRs with one doorbell.
   sim::Duration post_cost(std::size_t n_wrs, std::size_t inline_bytes = 0) const;
-  sim::TaskT<void> post(WorkRequest wr);
+  PostAwaiter post(WorkRequest wr);
   sim::TaskT<Completion> execute(WorkRequest wr);
   // Posts the batch with one doorbell; the last WR is forced signaled and
   // its completion is returned (earlier WRs keep their own flags).
@@ -67,7 +92,7 @@ class QueuePair {
   // Awaits the completion of a specific wr_id. Must be registered before
   // the completion fires, i.e. call via execute()/execute_batch() or
   // register-then-post in the same simulation instant.
-  sim::TaskT<Completion> wait(std::uint64_t wr_id);
+  WaitAwaiter wait(std::uint64_t wr_id) { return {*this, wr_id}; }
 
   std::uint32_t outstanding() const { return outstanding_; }
   std::uint64_t ops_completed() const { return ops_completed_; }
@@ -107,20 +132,21 @@ class QueuePair {
   // posts), so the RNIC skips the descriptor-fetch DMA.
   sim::Task run_wr(WorkRequest wr, bool bf);
   // One transfer leg with RC loss recovery: retransmits with exponential
-  // backoff up to cfg_.retry_cnt. Returns false when the leg is lost for
-  // good (unreliable transport, or retries exhausted).
+  // backoff up to cfg_.retry_cnt. co_await yields false when the leg is
+  // lost for good (unreliable transport, or retries exhausted). The
+  // awaitable is frame-less (see Deliver in qp.cpp).
   //
-  // Lane contract: call on the
+  // Lane contract: await on the
   // SOURCE machine's lane. Resumes the caller on the DESTINATION's lane
-  // when it returns true (the payload landed there), and on
-  // `home_machine`'s lane when it returns false (the requester's timeout
+  // when it yields true (the payload landed there), and on
+  // `home_machine`'s lane when it yields false (the requester's timeout
   // is how loss is discovered — home is the machine that owns this WR's
   // completion: the local machine for request legs, which is `dst` for
   // response/ACK/NAK legs).
-  sim::TaskT<bool> deliver(std::uint32_t src_machine, std::uint32_t sport,
-                           std::uint32_t dst_machine, std::uint32_t dport,
-                           std::size_t bytes, bool reliable,
-                           std::uint32_t home_machine);
+  Deliver deliver(std::uint32_t src_machine, std::uint32_t sport,
+                  std::uint32_t dst_machine, std::uint32_t dport,
+                  std::size_t bytes, bool reliable,
+                  std::uint32_t home_machine);
   // Completes `wr` with `st` and transitions the QP to ERROR (transport
   // failure path: retry exhaustion).
   void fail_wr(const WorkRequest& wr, Status st);

@@ -19,6 +19,7 @@ namespace v = rdmasem::verbs;
 namespace sim = rdmasem::sim;
 namespace fl = rdmasem::fault;
 using rdmasem::test::Testbed;
+using rdmasem::test::make_read;
 using rdmasem::test::make_write;
 
 namespace {
@@ -445,6 +446,57 @@ TEST(LossPath, RcCompletesEverythingAndCountsRetransmits) {
   EXPECT_GT(conn.local->retransmits(), 0u);
   EXPECT_EQ(tb.cluster.fabric().drops(), conn.local->retransmits());
   EXPECT_EQ(conn.local->state(), v::QpState::kRts);
+}
+
+// Bounded RC retries under loss, pinned to exact values: retransmits,
+// the summed backoff, the failing WR's status and its completion time.
+// A request leg that exhausts its retries lands on the responder's lane
+// and takes the backoff hop home before the WR fails.
+TEST(LossPath, BoundedRetriesPinned) {
+  struct Outcome {
+    int ok = 0;
+    v::Completion failed;
+  };
+  auto drive = [](double loss) {
+    rdmasem::hw::ModelParams p;
+    p.net_loss_prob = loss;
+    Testbed tb(p);
+    v::Buffer src(4096), dst(4096);
+    auto* lmr = tb.ctx[0]->register_buffer(src, 1);
+    auto* rmr = tb.ctx[1]->register_buffer(dst, 1);
+    auto cfg = tb.paper_qp();
+    cfg.retry_cnt = 2;
+    auto conn = tb.connect(0, 1, cfg, tb.paper_qp());
+    Outcome out;
+    // Alternating WRITEs and READs until the first one fails for good.
+    run(tb, [](v::QueuePair* q, v::MemoryRegion* l, v::MemoryRegion* r,
+               Outcome& o) -> sim::Task {
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t off = static_cast<std::uint64_t>(i % 64) * 64;
+        const v::Completion c =
+            co_await q->execute(i % 2 == 0 ? make_write(*l, off, *r, off, 64)
+                                           : make_read(*l, off, *r, off, 64));
+        if (!c.ok()) {
+          o.failed = c;
+          co_return;
+        }
+        ++o.ok;
+      }
+    }(conn.local, lmr, rmr, out));
+    return std::tuple{out.ok, out.failed.status, out.failed.completed_at,
+                      conn.local->retransmits(),
+                      tb.cluster.obs().backoff_ps.value()};
+  };
+
+  // Every message drops: the first WRITE is sent 1 + retry_cnt times,
+  // backs off 8 + 16 us and fails home after the last 32 us timeout.
+  EXPECT_EQ(drive(1.0), std::tuple(0, v::Status::kRetryExceeded,
+                                   sim::Time{58107101}, std::uint64_t{2},
+                                   std::uint64_t{sim::us(24)}));
+  // Half the messages drop: a mix of healed legs, then exhaustion.
+  EXPECT_EQ(drive(0.5), std::tuple(11, v::Status::kRetryExceeded,
+                                   sim::Time{174151822}, std::uint64_t{11},
+                                   std::uint64_t{sim::us(120)}));
 }
 
 TEST(LossPath, UdDatagramsDropSilently) {

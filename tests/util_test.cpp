@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <deque>
+#include <memory>
+#include <vector>
 
 #include "util/env.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -206,4 +210,68 @@ TEST(Env, F64AndStr) {
   ::unsetenv("RDMASEM_TEST_KNOB");
   EXPECT_DOUBLE_EQ(u::env_f64("RDMASEM_TEST_KNOB", 1.0), 1.0);
   EXPECT_EQ(u::env_str("RDMASEM_TEST_KNOB", "d"), "d");
+}
+
+TEST(Ring, FifoAcrossWrapAndGrowth) {
+  u::Ring<int, 2> r;
+  r.push_back(1);
+  r.push_back(2);
+  r.pop_front();
+  r.push_back(3);  // wraps into slot 0
+  r.push_back(4);  // full and wrapped: grows, unwrapping in FIFO order
+  std::vector<int> out;
+  for (; !r.empty(); r.pop_front()) out.push_back(r.front());
+  EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
+
+  // Interleaved pushes and pops against std::deque across several growths.
+  std::deque<int> ref;
+  int next = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int k = 0; k < round % 7 + 1; ++k) {
+      r.push_back(next);
+      ref.push_back(next++);
+    }
+    for (int k = 0; k < round % 5 && !ref.empty(); ++k) {
+      ASSERT_EQ(r.front(), ref.front());
+      r.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(r.size(), ref.size());
+  }
+  for (; !ref.empty(); ref.pop_front(), r.pop_front())
+    ASSERT_EQ(r.front(), ref.front());
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, SpillsInlineToHeapAndKeepsCapacity) {
+  u::Ring<int, 2> r;
+  EXPECT_EQ(r.capacity(), 2u);  // inline slots, nothing allocated
+  r.push_back(1);
+  r.push_back(2);
+  EXPECT_EQ(r.capacity(), 2u);
+  r.push_back(3);  // third element spills to a doubled heap buffer
+  EXPECT_EQ(r.capacity(), 4u);
+  for (int i = 4; i <= 9; ++i) r.push_back(i);
+  EXPECT_EQ(r.capacity(), 16u);
+  while (!r.empty()) r.pop_front();
+  EXPECT_EQ(r.capacity(), 16u);  // kept for the next burst
+  r.push_back(10);
+  EXPECT_EQ(r.front(), 10);
+}
+
+TEST(Ring, PopReleasesTheElement) {
+  auto p = std::make_shared<int>(7);
+  {
+    u::Ring<std::shared_ptr<int>, 2> r;
+    for (int i = 0; i < 3; ++i) r.push_back(p);  // inline and heap slots
+    EXPECT_EQ(p.use_count(), 4);
+    r.pop_front();
+    EXPECT_EQ(p.use_count(), 3);  // released at pop time, not at reuse
+    r.pop_front();
+    r.pop_front();
+    EXPECT_EQ(p.use_count(), 1);
+    r.push_back(p);
+    EXPECT_EQ(p.use_count(), 2);
+  }
+  EXPECT_EQ(p.use_count(), 1);  // the destructor releases what is left
 }

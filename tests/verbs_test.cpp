@@ -636,3 +636,62 @@ TEST(ClusterAddressSpace, DoubleRegistrationGetsDisjointRangesOverSameBytes) {
   EXPECT_EQ(std::memcmp(local.data() + 1024, "via-a", 5), 0);
   EXPECT_EQ(std::memcmp(local.data() + 2048, "via-b", 5), 0);
 }
+
+// Frames per WR: run_wr is the only coroutine frame a posted WR costs —
+// the fabric legs, post() and wait() are frame-less awaitables — and
+// execute() adds its own. Counted from FramePool's allocation stats over
+// a steady loop of fault-free RC WRITE, READ and FETCH_ADD WRs.
+TEST(VerbsFrames, OneFramePerPostedWr) {
+#if RDMASEM_ASAN
+  GTEST_SKIP() << "under ASan FramePool passes frames straight to the "
+                  "allocator and counts none";
+#else
+  Testbed tb;
+  v::Buffer local(4096), remote(4096);
+  auto* lmr = tb.ctx[0]->register_buffer(local, 1);
+  auto* rmr = tb.ctx[1]->register_buffer(remote, 1);
+  auto conn = tb.connect(0, 1);
+  constexpr int kOps = 64;
+
+  struct Frames {
+    std::uint64_t post_send = 0, execute = 0;
+  } frames;
+  run(tb, [](v::QueuePair* qp, v::MemoryRegion* l, v::MemoryRegion* r,
+             Frames& out) -> sim::Task {
+    const auto allocated = [] {
+      const auto s = sim::FramePool::stats();
+      return s.reused + s.fresh + s.oversize;
+    };
+    const auto make = [l, r](int i) {
+      if (i % 3 == 0) return make_write(*l, 0, *r, 0, 64);
+      if (i % 3 == 1) return make_read(*l, 0, *r, 0, 64);
+      v::WorkRequest wr;
+      wr.opcode = v::Opcode::kFetchAdd;
+      wr.sg_list = {{l->addr, 8, l->key}};
+      wr.remote_addr = r->addr;
+      wr.rkey = r->key;
+      wr.swap_or_add = 1;
+      return wr;
+    };
+    for (int i = 0; i < kOps; ++i) (void)co_await qp->execute(make(i));
+    std::uint64_t f0 = allocated();
+    for (int i = 0; i < kOps; ++i) {
+      v::WorkRequest wr = make(i);
+      wr.signaled = true;
+      wr.wr_id = 1'000'000 + static_cast<std::uint64_t>(i);
+      const std::uint64_t wid = wr.wr_id;
+      qp->post_send(std::move(wr));
+      const v::Completion c = co_await qp->wait(wid);
+      EXPECT_TRUE(c.ok());
+    }
+    out.post_send = allocated() - f0;
+    f0 = allocated();
+    for (int i = 0; i < kOps; ++i)
+      EXPECT_TRUE((co_await qp->execute(make(i))).ok());
+    out.execute = allocated() - f0;
+  }(conn.local, lmr, rmr, frames));
+
+  EXPECT_EQ(frames.post_send, static_cast<std::uint64_t>(kOps));
+  EXPECT_EQ(frames.execute, static_cast<std::uint64_t>(2 * kOps));
+#endif
+}
