@@ -2,11 +2,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "cluster/cluster.hpp"
 #include "remem/outcome.hpp"
 #include "sim/task.hpp"
+#include "util/ring.hpp"
 #include "verbs/buffer.hpp"
 #include "verbs/qp.hpp"
 
@@ -133,7 +133,7 @@ class LocalSpinlock {
   // Test-and-test-and-set spinners parked until the next release. The
   // spin-read traffic itself is local to each core's cache (shared line),
   // so parking models TTAS with the right cost and bounded events.
-  std::deque<std::coroutine_handle<>> spinners_;
+  util::Ring<std::coroutine_handle<>, 8> spinners_;
 };
 
 // LocalSequencer — __sync_fetch_and_add baseline on one cache line.

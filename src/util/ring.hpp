@@ -11,13 +11,15 @@ namespace rdmasem::util {
 // Ring<T, N> — a FIFO queue in one circular buffer, with inline room for
 // the first N elements.
 //
-// The FIFO of the engine's rendezvous queues (channel items, channel,
-// semaphore and latch waiters). A std::deque allocates on construction
-// and per node, which put several allocations on every proxied request
-// (its reply channel, its 352 B inbox entry). A Ring never allocates when
-// constructed, grows by doubling past N and keeps its capacity, so a
-// warmed-up queue never touches the heap. pop_front() destroys the
-// element, releasing what it holds at pop time as a deque does.
+// The one FIFO container in src: the engine's rendezvous queues (channel
+// items, channel, semaphore and latch waiters), the QP and SRQ receive
+// queues and the local spinlock's parked spinners. A std::deque
+// allocates on construction and per node, which put several allocations
+// on every proxied request (its reply channel, its 352 B inbox entry). A
+// Ring never allocates when constructed, grows by doubling past N and
+// keeps its capacity, so a warmed-up queue never touches the heap.
+// pop_front() destroys the element, releasing what it holds at pop time
+// as a deque does.
 template <typename T, std::size_t N>
 class Ring {
   static_assert(N > 0 && (N & (N - 1)) == 0, "N must be a power of two");

@@ -121,12 +121,11 @@ void QueuePair::fail_wr(const WorkRequest& wr, Status st) {
 sim::Task QueuePair::flush_posted_wr(WorkRequest wr) {
   // Runs as a spawned task (never inline from post_send) so that an
   // execute() caller registers its wait() before the completion fires.
-  if (wr.posted_at == 0) wr.posted_at = ctx_.engine().now();
   complete(wr, Status::kWrFlushedError, 0);
   co_return;
 }
 
-void QueuePair::post_send(WorkRequest&& wr) {
+void QueuePair::enqueue(WorkRequest&& wr, bool bf) {
   if (per_wr_target(cfg_.transport)) {
     RDMASEM_CHECK_MSG(wr.ud_dest != nullptr, "UD/DC send needs ud_dest");
   } else {
@@ -134,6 +133,14 @@ void QueuePair::post_send(WorkRequest&& wr) {
   }
   RDMASEM_CHECK_MSG(outstanding_ < cfg_.sq_depth, "send queue overflow");
   ++outstanding_;
+  wr.posted_at = ctx_.engine().now();
+  if (state_ == QpState::kError)
+    ctx_.engine().spawn(flush_posted_wr(std::move(wr)));
+  else
+    ctx_.engine().spawn(run_wr(std::move(wr), bf));
+}
+
+void QueuePair::post_send(WorkRequest&& wr) {
   wr.trace_seq = ++trace_seq_;
   obs::Hub& hub = ctx_.cluster().obs();
   hub.wr_posted.inc();
@@ -141,12 +148,7 @@ void QueuePair::post_send(WorkRequest&& wr) {
     hub.tracer.instant(obs::Stage::kDoorbell, ctx_.engine().now(), wr.wr_id,
                        id_, ctx_.machine().id(),
                        static_cast<std::uint8_t>(wr.opcode), wr.trace_seq);
-  if (state_ == QpState::kError) {
-    ctx_.engine().spawn(flush_posted_wr(std::move(wr)));
-    return;
-  }
-  ctx_.engine().spawn(
-      run_wr(std::move(wr), /*bf=*/ctx_.params().rnic_blueflame));
+  enqueue(std::move(wr), /*bf=*/ctx_.params().rnic_blueflame);
 }
 
 void QueuePair::post_send_batch(const std::vector<WorkRequest>& wrs) {
@@ -162,21 +164,8 @@ void QueuePair::post_send_batch(std::vector<WorkRequest>&& wrs) {
                        wrs.front().wr_id, id_, ctx_.machine().id(),
                        static_cast<std::uint8_t>(wrs.front().opcode),
                        wrs.front().trace_seq);
-  for (auto& wr : wrs) {
-    if (per_wr_target(cfg_.transport)) {
-      RDMASEM_CHECK_MSG(wr.ud_dest != nullptr, "UD/DC send needs ud_dest");
-    } else {
-      RDMASEM_CHECK_MSG(peer_ != nullptr, "QP not connected");
-    }
-    RDMASEM_CHECK_MSG(outstanding_ < cfg_.sq_depth, "send queue overflow");
-    ++outstanding_;
-    if (state_ == QpState::kError) {
-      ctx_.engine().spawn(flush_posted_wr(std::move(wr)));
-      continue;
-    }
-    // Doorbell-listed WQEs are fetched from host memory by the RNIC.
-    ctx_.engine().spawn(run_wr(std::move(wr), /*bf=*/false));
-  }
+  // Doorbell-listed WQEs are fetched from host memory by the RNIC.
+  for (auto& wr : wrs) enqueue(std::move(wr), /*bf=*/false);
 }
 
 void QueuePair::post_recv(const RecvRequest& rr) {
@@ -302,8 +291,7 @@ void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
   if (st == Status::kWrFlushedError) hub.wr_flushed.inc();
   if (st == Status::kRetryExceeded) hub.retry_exhausted.inc();
   const sim::Time now = ctx_.engine().now();
-  if (wr.posted_at != 0 && now >= wr.posted_at)
-    hub.wr_latency_ns.add((now - wr.posted_at) / sim::kNanosecond);
+  hub.wr_latency_ns.add((now - wr.posted_at) / sim::kNanosecond);
   if (hub.tracer.enabled())
     hub.tracer.instant(obs::Stage::kCqe, now, wr.wr_id, id_,
                        ctx_.machine().id(),
@@ -319,10 +307,9 @@ void QueuePair::complete(const WorkRequest& wr, Status st, std::uint32_t bytes,
   // so its completion must not carry a plausible-looking value (the old
   // default 0 reads as "lock free" to CAS-retry loops that skip the ok()
   // check). Poison it instead.
-  const bool is_atomic =
-      wr.opcode == Opcode::kCompSwap || wr.opcode == Opcode::kFetchAdd;
-  c.atomic_old =
-      (is_atomic && st != Status::kSuccess) ? kPoisonedAtomicOld : atomic_old;
+  c.atomic_old = (is_atomic(wr.opcode) && st != Status::kSuccess)
+                     ? kPoisonedAtomicOld
+                     : atomic_old;
 
   if (Waiter* w = find_waiter(wr.wr_id); w != nullptr) {
     w->result = c;
@@ -477,19 +464,20 @@ void QueuePair::scatter_sges(Context& ctx, const Sge* sges, std::size_t n,
 // The per-WR hardware pipeline. Stage structure (see DESIGN.md §5):
 //
 //   WQE fetch -> send EU (+metadata stalls) -> payload gather DMA ->
-//   wire -> remote rx -> opcode-specific remote work -> ACK/response ->
-//   completion
+//   wire -> remote rx -> target or NAK -> responder unit + memory ->
+//   ACK/response -> completion
 //
 // Each `co_await resource.use(t)` both delays this WR and occupies the
 // shared resource, so throughput ceilings and contention effects emerge
-// from overlap rather than being scripted.
+// from overlap rather than being scripted. Every opcode runs the same
+// responder steps (6-8); only the resource, cost and data movement each
+// step picks depend on the opcode.
 sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   auto& eng = ctx_.engine();
   const auto& P = ctx_.params();
   auto& lm = ctx_.machine();
   auto& lr = lm.rnic();
   auto& lport = lr.port(cfg_.port);
-  if (wr.posted_at == 0) wr.posted_at = eng.now();
 
   // Lifecycle tracing: stamps read the clock and append to a buffer,
   // never schedule or delay anything, so `traced` on/off cannot change
@@ -528,13 +516,16 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   };
 
   // Transport-level opcode checks (§II-A): WRITE needs RC/UC/DC; READ
-  // and atomics need RC or DC; UD carries SEND only.
+  // and atomics need RC or DC; UD carries SEND only. RECV is never posted
+  // to a send queue.
   const Transport tp = cfg_.transport;
+  const bool write = wr.opcode == Opcode::kWrite;
+  const bool read = wr.opcode == Opcode::kRead;
+  const bool send = wr.opcode == Opcode::kSend;
+  const bool atomic = is_atomic(wr.opcode);
   const bool op_ok =
-      wr.opcode == Opcode::kSend ||
-      (wr.opcode == Opcode::kWrite && tp != Transport::kUD) ||
-      ((wr.opcode == Opcode::kRead || is_atomic(wr.opcode)) &&
-       (tp == Transport::kRC || tp == Transport::kDc));
+      send || (write && tp != Transport::kUD) ||
+      ((read || atomic) && (tp == Transport::kRC || tp == Transport::kDc));
   if (!op_ok) {
     complete(wr, Status::kUnsupportedOpcode, 0);
     co_return;
@@ -562,14 +553,13 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
     }
   }
   const bool inlined = wr.inline_data && total <= P.rnic_max_inline;
-  const bool carries_payload =
-      (wr.opcode == Opcode::kWrite || wr.opcode == Opcode::kSend) && total > 0;
+  const bool carries_payload = (write || send) && total > 0;
 
   // Host-memory access cost: streaming DMA for bulk, row-buffer model for
   // small payloads.
+  using Op = hw::DramModel::Op;
   auto mem_cost = [&P](cluster::Machine& m, hw::SocketId socket,
-                       std::uint64_t a, std::size_t len,
-                       hw::DramModel::Op op, bool same) {
+                       std::uint64_t a, std::size_t len, Op op, bool same) {
     return len >= P.dma_stream_threshold
                ? m.dram(socket).stream(len, same)
                : m.dram(socket).access(a, len, op, same);
@@ -616,41 +606,30 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   }
 
   // ---- 3. payload gather from host memory over PCIe -----------------------
+  // One channel use per SGE. A single SGE fuses its NUMA penalty onto the
+  // channel service (a fixed chain with no interleaving point, one
+  // suspension); several SGEs pay the worst penalty once, after the last.
   if (carries_payload && !inlined) {
     const sim::Time t0 = eng.now();
     const sim::Grant g_dma = co_await lr.dma().use(P.pcie_time(total));
     attr_use(lr.dma(), t0, g_dma);
-    if (wr.sg_list.size() == 1) {
-      // Single-SGE fast path: the channel service and the NUMA penalty
-      // form a fixed chain with no interleaving point — one suspension.
-      const MemoryRegion* mr = ctx_.lookup(wr.sg_list[0].lkey);
-      const bool same = (lps == mr->socket);
-      const sim::Duration m = mem_cost(lm, mr->socket, wr.sg_list[0].addr,
-                                       wr.sg_list[0].length,
-                                       hw::DramModel::Op::kRead, same);
+    const bool one_sge = wr.sg_list.size() == 1;
+    sim::Duration pen = 0;
+    for (const auto& sge : wr.sg_list) {
+      const MemoryRegion* mr = ctx_.lookup(sge.lkey);
+      const sim::Duration p = lm.topo().dma_mem_penalty(lps, mr->socket);
+      const sim::Duration m = mem_cost(lm, mr->socket, sge.addr, sge.length,
+                                       Op::kRead, lps == mr->socket);
       const sim::Time t_m = eng.now();
       const sim::Grant g_m =
-          co_await lm.mem_channel(mr->socket)
-              .use_then(m, lm.topo().dma_mem_penalty(lps, mr->socket));
+          co_await lm.mem_channel(mr->socket).use_then(m, one_sge ? p : 0);
       attr_use(lm.mem_channel(mr->socket), t_m, g_m);
-    } else {
-      sim::Duration numa_pen = 0;
-      for (const auto& sge : wr.sg_list) {
-        const MemoryRegion* mr = ctx_.lookup(sge.lkey);
-        const bool same = (lps == mr->socket);
-        const sim::Duration m = mem_cost(lm, mr->socket, sge.addr, sge.length,
-                                         hw::DramModel::Op::kRead, same);
-        const sim::Time t_m = eng.now();
-        const sim::Grant g_m = co_await lm.mem_channel(mr->socket).use(m);
-        attr_use(lm.mem_channel(mr->socket), t_m, g_m);
-        numa_pen =
-            std::max(numa_pen, lm.topo().dma_mem_penalty(lps, mr->socket));
-      }
-      if (numa_pen) {
-        const sim::Time t_p = eng.now();
-        co_await sim::delay(eng, numa_pen);
-        attr_lat(t_p);
-      }
+      pen = std::max(pen, p);
+    }
+    if (!one_sge && pen > 0) {
+      const sim::Time t_p = eng.now();
+      co_await sim::delay(eng, pen);
+      attr_lat(t_p);
     }
     if (traced) stamp(obs::Stage::kLocalDma, t0);
   }
@@ -658,8 +637,7 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   // ---- 4. wire -------------------------------------------------------------
   std::size_t wire_bytes =
       carries_payload ? total
-                      : (is_atomic(wr.opcode) ? kAtomicRequestBytes
-                                              : kReadRequestBytes);
+                      : (atomic ? kAtomicRequestBytes : kReadRequestBytes);
   if (tp == Transport::kUD) wire_bytes += P.ud_grh_bytes;
 
   // Unreliable transports (UC/UD) complete locally as soon as the packet
@@ -727,338 +705,226 @@ sim::Task QueuePair::run_wr(WorkRequest wr, bool bf) {
   if (traced) stamp(obs::Stage::kRemoteRx, t_rx);
   sim::Duration rstall = rr.qp_touch(peer->id_);
 
-  // Helper: send a header-only NAK back (RC) and finish with `st`;
-  // unreliable transports just drop the faulty packet. Runs on the
-  // responder's lane and lands home on the requester's.
-  auto nak = [&](Status st) -> sim::TaskT<void> {
-    if (unreliable) co_return;
-    const sim::Time t0 = eng.now();
-    const bool ok = co_await deliver(rm.id(), peer->cfg_.port, lm.id(),
-                                     cfg_.port, kAckBytes, true,
-                                     /*home=*/lm.id());
-    attr_wire(t0);
-    if (!ok) {
-      fail_wr(wr, Status::kRetryExceeded);
-      co_return;
-    }
-    complete(wr, st, 0);
-  };
-
-  switch (wr.opcode) {
-    case Opcode::kWrite: {
-      MemoryRegion* rmr = peer->ctx_.lookup(wr.rkey);
-      if (rmr == nullptr || !rmr->contains(wr.remote_addr, total)) {
-        co_await nak(Status::kRemoteAccessError);
-        co_return;
+  // ---- 6. target or NAK ----------------------------------------------------
+  // Every opcode resolves to one responder range (rkey, raddr, rlen): the
+  // one-sided opcodes name it in the WR, a SEND takes the head RECV once
+  // the receiver is ready. A SEND's receiver drains its SRQ if it has
+  // one, else its private receive queue.
+  std::uint32_t rkey = wr.rkey;
+  std::uint64_t raddr = wr.remote_addr;
+  const std::size_t rlen = atomic ? 8 : total;
+  Status nak = Status::kSuccess;
+  RecvRequest rq;
+  if (send) {
+    // Receiver not ready. UC/UD: the datagram evaporates. RC/DC: each RNR
+    // NAK costs a wire round plus an rnr_timer pause before the
+    // retransmit; cfg_.rnr_retry bounds the attempts (kInfiniteRetry
+    // waits until a buffer shows up; 0 fails fast).
+    if (unreliable && !peer->recv_ready()) co_return;
+    for (std::uint32_t rnr = 0; !peer->recv_ready(); ++rnr) {
+      if (peer->cfg_.srq != nullptr) hub.srq_rnr.inc();
+      if (cfg_.rnr_retry != kInfiniteRetry && rnr >= cfg_.rnr_retry) {
+        nak = Status::kRnrRetryExceeded;
+        break;
       }
-      rstall += rr.translate(wr.rkey, wr.remote_addr, total);
-      if (rstall > 0) hub.mcache_stall_ps.inc(rstall);
-      const sim::Time t_rem = eng.now();
-      // Inbound writes are handled by the receive pipeline; translation
-      // misses stall it (this is the Fig. 6 random-write penalty).
-      if (rstall) {
-        const sim::Grant g = co_await rport.rx.use(rstall);
-        attr_use(rport.rx, t_rem, g);
-      }
-      if (total > 0) {
-        const sim::Time t_d = eng.now();
-        const sim::Grant g_d = co_await rr.dma().use(P.pcie_time(total));
-        attr_use(rr.dma(), t_d, g_d);
-        const bool same = (rps == rmr->socket);
-        const sim::Duration m =
-            mem_cost(rm, rmr->socket, wr.remote_addr, total,
-                     hw::DramModel::Op::kWrite, same);
-        const sim::Duration pen = rm.topo().dma_mem_penalty(rps, rmr->socket);
-        const sim::Time t_m = eng.now();
-        // Channel service + NUMA penalty + PCIe completion latency is a
-        // fixed chain — nothing can semantically interleave, so it is one
-        // suspension.
-        const sim::Grant g_m =
-            co_await rm.mem_channel(rmr->socket)
-                .use_then(m, pen + P.pcie_dma_write_latency);
-        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        // The data actually moves: staged (or borrowed) payload lands in
-        // the remote MR, here on its owner's lane.
-        std::memcpy(rmr->at(wr.remote_addr), payload.data(), total);
-      }
-      if (traced) stamp(obs::Stage::kRemoteDram, t_rem);
-      if (!unreliable) {
-        const sim::Time t_ack = eng.now();
-        co_await sim::delay(eng, P.net_ack_proc);
-        attr_lat(t_ack);
-        const sim::Time t_resp = eng.now();
-        const bool acked =
-            co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port,
-                             kAckBytes, true, /*home=*/lm.id());
-        attr_wire(t_resp);
-        if (!acked) {
-          // The data landed but the ACK never made it back: the requester
-          // cannot distinguish this from a lost write (§ failure model).
-          fail_wr(wr, Status::kRetryExceeded);
-          co_return;
-        }
-        if (traced) stamp(obs::Stage::kResponse, t_resp);
-        complete(wr, Status::kSuccess, static_cast<std::uint32_t>(total));
-      }
-      break;
-    }
-
-    case Opcode::kRead: {
-      MemoryRegion* rmr = peer->ctx_.lookup(wr.rkey);
-      if (rmr == nullptr || !rmr->contains(wr.remote_addr, total)) {
-        co_await nak(Status::kRemoteAccessError);
-        co_return;
-      }
-      rstall += rr.translate(wr.rkey, wr.remote_addr, total);
-      if (rstall > 0) hub.mcache_stall_ps.inc(rstall);
-      const sim::Time t_rem = eng.now();
-      // The responder EU serves the read: DMA-read payload, packetize.
-      const sim::Grant g_reu = co_await rport.eu.use(P.rnic_eu_read + rstall);
-      attr_use(rport.eu, t_rem, g_reu);
-      if (total > 0) {
-        const sim::Time t_d = eng.now();
-        const sim::Grant g_d = co_await rr.dma().use(P.pcie_time(total));
-        attr_use(rr.dma(), t_d, g_d);
-        const bool same = (rps == rmr->socket);
-        const sim::Duration m =
-            mem_cost(rm, rmr->socket, wr.remote_addr, total,
-                     hw::DramModel::Op::kRead, same);
-        const sim::Duration pen = rm.topo().dma_mem_penalty(rps, rmr->socket);
-        const sim::Time t_m = eng.now();
-        const sim::Grant g_m =
-            co_await rm.mem_channel(rmr->socket)
-                .use_then(m, pen + P.pcie_dma_read_latency);
-        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        // Snapshot the remote bytes into the frame while still on their
-        // owner's lane; the response leg carries them home. READs always
-        // stage (never borrow): the source may mutate between here and
-        // the landing, and the READ returns the bytes as of this DMA.
-        std::memcpy(payload.stage(total),
-                    rmr->at(wr.remote_addr), total);
-        (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
-            .inc();
-      }
-      if (traced) stamp(obs::Stage::kRemoteDram, t_rem);
-      // Response carries the payload back.
-      const sim::Time t_resp = eng.now();
-      const bool resp_ok =
+      hub.rnr_naks.inc();
+      const sim::Time t_nak = eng.now();
+      const bool nak_ok =
           co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port,
-                           total, true, /*home=*/lm.id());
-      attr_wire(t_resp);
-      if (!resp_ok) {
+                           kAckBytes, true, /*home=*/lm.id());
+      attr_wire(t_nak);
+      if (!nak_ok) {
         fail_wr(wr, Status::kRetryExceeded);
         co_return;
       }
-      const sim::Time t_lrx = eng.now();
-      const sim::Grant g_lrx = co_await lport.rx.use(P.rnic_rx_proc);
-      attr_use(lport.rx, t_lrx, g_lrx);
-      if (traced) stamp(obs::Stage::kResponse, t_resp);
-      if (total > 0) {
-        const sim::Time t_land = eng.now();
-        const sim::Grant g_ld = co_await lr.dma().use(P.pcie_time(total));
-        attr_use(lr.dma(), t_land, g_ld);
-        if (wr.sg_list.size() == 1) {
-          const MemoryRegion* mr = ctx_.lookup(wr.sg_list[0].lkey);
-          const bool same = (lps == mr->socket);
-          const sim::Duration m =
-              mem_cost(lm, mr->socket, wr.sg_list[0].addr,
-                       wr.sg_list[0].length, hw::DramModel::Op::kWrite, same);
-          const sim::Time t_m = eng.now();
-          const sim::Grant g_m =
-              co_await lm.mem_channel(mr->socket)
-                  .use_then(m, lm.topo().dma_mem_penalty(lps, mr->socket) +
-                                   P.pcie_dma_write_latency);
-          attr_use(lm.mem_channel(mr->socket), t_m, g_m);
-        } else {
-          sim::Duration numa_pen = 0;
-          for (const auto& sge : wr.sg_list) {
-            const MemoryRegion* mr = ctx_.lookup(sge.lkey);
-            const bool same = (lps == mr->socket);
-            const sim::Duration m = mem_cost(lm, mr->socket, sge.addr,
-                                             sge.length,
-                                             hw::DramModel::Op::kWrite, same);
-            const sim::Time t_m = eng.now();
-            const sim::Grant g_m = co_await lm.mem_channel(mr->socket).use(m);
-            attr_use(lm.mem_channel(mr->socket), t_m, g_m);
-            numa_pen =
-                std::max(numa_pen, lm.topo().dma_mem_penalty(lps, mr->socket));
-          }
-          // Two trailing pure delays merge into one suspension.
-          const sim::Time t_p = eng.now();
-          co_await sim::delay(eng, numa_pen + P.pcie_dma_write_latency);
-          attr_lat(t_p);
-        }
-        scatter_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(),
-                     payload.data(), total);
-        if (traced) stamp(obs::Stage::kLocalDma, t_land);
-      }
-      complete(wr, Status::kSuccess, static_cast<std::uint32_t>(total));
-      break;
-    }
-
-    case Opcode::kCompSwap:
-    case Opcode::kFetchAdd: {
-      MemoryRegion* rmr = peer->ctx_.lookup(wr.rkey);
-      if (rmr == nullptr || !rmr->contains(wr.remote_addr, 8)) {
-        co_await nak(Status::kRemoteAccessError);
-        co_return;
-      }
-      if (wr.remote_addr % 8 != 0 || wr.sg_list.empty() ||
-          wr.sg_list[0].length < 8) {
-        co_await nak(Status::kRemoteInvalidRequest);
-        co_return;
-      }
-      rstall += rr.translate(wr.rkey, wr.remote_addr, 8);
-      if (rstall > 0) hub.mcache_stall_ps.inc(rstall);
-      const sim::Time t_rem = eng.now();
-      // The atomic unit serializes all atomics on this port: locked
-      // PCIe read-modify-write against host memory.
-      const sim::Grant g_au =
-          co_await rport.atomic_unit.use(P.rnic_atomic_unit + rstall);
-      attr_use(rport.atomic_unit, t_rem, g_au);
-      const bool same = (rps == rmr->socket);
-      const sim::Duration m = rm.dram(rmr->socket).access(
-          wr.remote_addr, 8, hw::DramModel::Op::kRead, same);
-      const sim::Time t_m = eng.now();
-      const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
-      attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-      auto* slot = reinterpret_cast<std::uint64_t*>(rmr->at(wr.remote_addr));
-      const std::uint64_t old = *slot;
-      if (wr.opcode == Opcode::kCompSwap) {
-        if (old == wr.compare) *slot = wr.swap_or_add;
-      } else {
-        *slot = old + wr.swap_or_add;
-      }
-      if (traced) stamp(obs::Stage::kRemoteDram, t_rem);
-      // Response carries the original value (8 bytes).
-      const sim::Time t_resp = eng.now();
-      const bool resp_ok =
-          co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port, 8,
-                           true, /*home=*/lm.id());
-      attr_wire(t_resp);
-      if (!resp_ok) {
+      // The RNR NAK landed us back home; pause and re-send from here.
+      const sim::Time t_timer = eng.now();
+      co_await sim::delay(eng, P.rnr_timer);
+      attr_lat(t_timer);
+      const sim::Time t_rs = eng.now();
+      const bool resend_ok =
+          co_await deliver(lm.id(), cfg_.port, rm.id(), peer->cfg_.port,
+                           wire_bytes, true, /*home=*/lm.id());
+      attr_wire(t_rs);
+      if (!resend_ok) {
         fail_wr(wr, Status::kRetryExceeded);
         co_return;
       }
-      const sim::Time t_lrx = eng.now();
-      const sim::Grant g_lrx = co_await lport.rx.use_then(
-          P.rnic_rx_proc, P.pcie_dma_write_latency);
-      attr_use(lport.rx, t_lrx, g_lrx);
-      if (traced) stamp(obs::Stage::kResponse, t_resp);
-      MemoryRegion* lmr = ctx_.lookup(wr.sg_list[0].lkey);
-      std::memcpy(lmr->at(wr.sg_list[0].addr), &old, 8);
-      complete(wr, Status::kSuccess, 8, old);
-      break;
+      const sim::Time t_rrx = eng.now();
+      const sim::Grant g_rrx = co_await rport.rx.use(P.rnic_rx_proc);
+      attr_use(rport.rx, t_rrx, g_rrx);
     }
-
-    case Opcode::kSend: {
-      // A receiver backed by an SRQ drains the shared pool; otherwise
-      // its private receive queue (recv_ready/consume_recv indirection).
-      const bool srq_backed = peer->cfg_.srq != nullptr;
-      if (!peer->recv_ready()) {
-        // Receiver not ready. UC/UD: the datagram evaporates. RC/DC:
-        // each RNR NAK costs a wire round plus an rnr_timer pause before
-        // the retransmit; cfg_.rnr_retry bounds the attempts
-        // (kInfiniteRetry waits until a buffer shows up; 0 fails fast).
-        if (unreliable) co_return;
-        for (std::uint32_t rnr = 0; !peer->recv_ready(); ++rnr) {
-          if (srq_backed) hub.srq_rnr.inc();
-          if (cfg_.rnr_retry != kInfiniteRetry && rnr >= cfg_.rnr_retry) {
-            co_await nak(Status::kRnrRetryExceeded);
-            co_return;
-          }
-          ctx_.cluster().obs().rnr_naks.inc();
-          const sim::Time t_nak = eng.now();
-          const bool nak_ok =
-              co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port,
-                               kAckBytes, true, /*home=*/lm.id());
-          attr_wire(t_nak);
-          if (!nak_ok) {
-            fail_wr(wr, Status::kRetryExceeded);
-            co_return;
-          }
-          // The RNR NAK landed us back home; pause and re-send from here.
-          const sim::Time t_timer = eng.now();
-          co_await sim::delay(eng, P.rnr_timer);
-          attr_lat(t_timer);
-          const sim::Time t_rs = eng.now();
-          const bool resend_ok =
-              co_await deliver(lm.id(), cfg_.port, rm.id(), peer->cfg_.port,
-                               wire_bytes, true, /*home=*/lm.id());
-          attr_wire(t_rs);
-          if (!resend_ok) {
-            fail_wr(wr, Status::kRetryExceeded);
-            co_return;
-          }
-          const sim::Time t_rrx = eng.now();
-          const sim::Grant g_rrx = co_await rport.rx.use(P.rnic_rx_proc);
-          attr_use(rport.rx, t_rrx, g_rrx);
-        }
-      }
-      const RecvRequest rq = peer->consume_recv();
-      MemoryRegion* rmr = peer->ctx_.lookup(rq.sge.lkey);
-      if (rmr == nullptr || rq.sge.length < total ||
-          !rmr->contains(rq.sge.addr, total)) {
-        co_await nak(Status::kRemoteInvalidRequest);
-        co_return;
-      }
-      rstall += rr.translate(rq.sge.lkey, rq.sge.addr, total);
-      if (rstall > 0) hub.mcache_stall_ps.inc(rstall);
-      const sim::Time t_rem = eng.now();
-      // Channel semantics: RQ WQE consumption + CQE for the receiver.
-      const sim::Grant g_reu =
-          co_await rport.eu.use(P.rnic_recv_extra + rstall);
-      attr_use(rport.eu, t_rem, g_reu);
-      if (total > 0) {
-        const sim::Time t_d = eng.now();
-        const sim::Grant g_d = co_await rr.dma().use(P.pcie_time(total));
-        attr_use(rr.dma(), t_d, g_d);
-        const bool same = (rps == rmr->socket);
-        const sim::Duration m = mem_cost(rm, rmr->socket, rq.sge.addr, total,
-                                         hw::DramModel::Op::kWrite, same);
-        const sim::Time t_m = eng.now();
-        const sim::Grant g_m = co_await rm.mem_channel(rmr->socket)
-                                   .use_then(m, P.pcie_dma_write_latency);
-        attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
-        // The RECV consume is the same scatter primitive as a READ
-        // landing: one SGE, capped at the arriving message size.
-        scatter_sges(peer->ctx_, &rq.sge, 1, payload.data(), total);
-      }
-      if (traced) stamp(obs::Stage::kRemoteDram, t_rem);
-      // Receiver-side completion.
-      if (peer->cfg_.cq) {
-        Completion rc;
-        rc.wr_id = rq.wr_id;
-        rc.status = Status::kSuccess;
-        rc.opcode = Opcode::kRecv;
-        rc.byte_len = static_cast<std::uint32_t>(total);
-        rc.qp_id = peer->id_;
-        rc.completed_at = eng.now();
-        peer->cfg_.cq->push(rc);
-      }
-      if (!unreliable) {
-        const sim::Time t_ack = eng.now();
-        co_await sim::delay(eng, P.net_ack_proc);
-        attr_lat(t_ack);
-        const sim::Time t_resp = eng.now();
-        const bool acked =
-            co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port,
-                             kAckBytes, true, /*home=*/lm.id());
-        attr_wire(t_resp);
-        if (!acked) {
-          fail_wr(wr, Status::kRetryExceeded);
-          co_return;
-        }
-        if (traced) stamp(obs::Stage::kResponse, t_resp);
-        complete(wr, Status::kSuccess, static_cast<std::uint32_t>(total));
-      }
-      break;
+    if (nak == Status::kSuccess) {
+      rq = peer->consume_recv();
+      rkey = rq.sge.lkey;
+      raddr = rq.sge.addr;
+      if (rq.sge.length < total) nak = Status::kRemoteInvalidRequest;
     }
-
-    case Opcode::kRecv:
-      complete(wr, Status::kRemoteInvalidRequest, 0);
-      break;
   }
+  MemoryRegion* rmr = peer->ctx_.lookup(rkey);
+  if (nak == Status::kSuccess) {
+    if (rmr == nullptr || !rmr->contains(raddr, rlen))
+      nak = send ? Status::kRemoteInvalidRequest : Status::kRemoteAccessError;
+    else if (atomic && (raddr % 8 != 0 || wr.sg_list.empty() ||
+                        wr.sg_list[0].length < 8))
+      nak = Status::kRemoteInvalidRequest;
+  }
+  // The one NAK tail: RC/DC send a header-only NAK from the responder's
+  // lane home to the requester's; UC/UD just drop the faulty packet.
+  if (nak != Status::kSuccess) {
+    if (unreliable) co_return;
+    const sim::Time t_nak = eng.now();
+    const bool nak_ok =
+        co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port,
+                         kAckBytes, true, /*home=*/lm.id());
+    attr_wire(t_nak);
+    if (nak_ok)
+      complete(wr, nak, 0);
+    else
+      fail_wr(wr, Status::kRetryExceeded);
+    co_return;
+  }
+
+  // ---- 7. responder unit and memory ---------------------------------------
+  // Inbound WRITEs ride the receive pipeline, which only translation
+  // misses stall (the Fig. 6 random-write penalty). The EU serves READs
+  // (DMA-read, packetize) and SENDs (RQ WQE consumption + the receiver's
+  // CQE). The atomic unit serializes all atomics on the port: a locked
+  // PCIe read-modify-write against host memory.
+  rstall += rr.translate(rkey, raddr, rlen);
+  if (rstall > 0) hub.mcache_stall_ps.inc(rstall);
+  const sim::Time t_rem = eng.now();
+  if (!write || rstall > 0) {
+    sim::Resource& unit =
+        write ? rport.rx : (atomic ? rport.atomic_unit : rport.eu);
+    const sim::Duration base =
+        write ? 0
+              : (atomic ? P.rnic_atomic_unit
+                        : (read ? P.rnic_eu_read : P.rnic_recv_extra));
+    const sim::Grant g_u = co_await unit.use(base + rstall);
+    attr_use(unit, t_rem, g_u);
+  }
+  const bool same = (rps == rmr->socket);
+  std::uint64_t old = 0;
+  if (atomic) {
+    const sim::Duration m =
+        rm.dram(rmr->socket).access(raddr, 8, Op::kRead, same);
+    const sim::Time t_m = eng.now();
+    const sim::Grant g_m = co_await rm.mem_channel(rmr->socket).use(m);
+    attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
+    std::memcpy(&old, rmr->at(raddr), 8);
+    const std::uint64_t word = wr.opcode == Opcode::kFetchAdd
+                                   ? old + wr.swap_or_add
+                                   : (old == wr.compare ? wr.swap_or_add : old);
+    std::memcpy(rmr->at(raddr), &word, 8);
+  } else if (total > 0) {
+    const sim::Time t_d = eng.now();
+    const sim::Grant g_d = co_await rr.dma().use(P.pcie_time(total));
+    attr_use(rr.dma(), t_d, g_d);
+    const sim::Duration m = mem_cost(rm, rmr->socket, raddr, total,
+                                     read ? Op::kRead : Op::kWrite, same);
+    // Channel service + NUMA penalty + PCIe completion latency is a fixed
+    // chain — nothing can semantically interleave, so it is one
+    // suspension. The SEND landing charges no NUMA penalty
+    // (docs/MODEL.md §1).
+    const sim::Duration pen =
+        send ? 0 : rm.topo().dma_mem_penalty(rps, rmr->socket);
+    const sim::Time t_m = eng.now();
+    const sim::Grant g_m =
+        co_await rm.mem_channel(rmr->socket)
+            .use_then(m, pen + (read ? P.pcie_dma_read_latency
+                                     : P.pcie_dma_write_latency));
+    attr_use(rm.mem_channel(rmr->socket), t_m, g_m);
+    if (read) {
+      // Snapshot the remote bytes into the frame while still on their
+      // owner's lane; the response leg carries them home. READs always
+      // stage (never borrow): the source may mutate between here and the
+      // landing, and the READ returns the bytes as of this DMA.
+      std::memcpy(payload.stage(total), rmr->at(raddr), total);
+      (payload.pool_hit() ? hub.payload_pool_hits : hub.payload_pool_misses)
+          .inc();
+    } else {
+      // The data actually moves: the staged (or borrowed) payload lands in
+      // the target range (a RECV's SGE holds at least `total` bytes), here
+      // on its owner's lane.
+      std::memcpy(rmr->at(raddr), payload.data(), total);
+    }
+  }
+  if (traced) stamp(obs::Stage::kRemoteDram, t_rem);
+  if (send && peer->cfg_.cq) {
+    // Receiver-side completion.
+    Completion rc;
+    rc.wr_id = rq.wr_id;
+    rc.status = Status::kSuccess;
+    rc.opcode = Opcode::kRecv;
+    rc.byte_len = static_cast<std::uint32_t>(total);
+    rc.qp_id = peer->id_;
+    rc.completed_at = eng.now();
+    peer->cfg_.cq->push(rc);
+  }
+  if (unreliable) co_return;
+
+  // ---- 8. response ---------------------------------------------------------
+  // WRITE and SEND answer with a header-only ACK once the data landed: the
+  // CQE means the responder NIC acknowledged it. READ and atomics carry
+  // their payload home, where the requester's rx unit takes it; an
+  // atomic's 8-byte result lands with a PCIe write.
+  const bool ack_only = write || send;
+  if (ack_only) {
+    const sim::Time t_ack = eng.now();
+    co_await sim::delay(eng, P.net_ack_proc);
+    attr_lat(t_ack);
+  }
+  const sim::Time t_resp = eng.now();
+  const bool resp_ok =
+      co_await deliver(rm.id(), peer->cfg_.port, lm.id(), cfg_.port,
+                       ack_only ? kAckBytes : rlen, true, /*home=*/lm.id());
+  attr_wire(t_resp);
+  if (!resp_ok) {
+    // A lost ACK leaves the data landed, yet the requester cannot tell it
+    // from a lost request (docs/FAULTS.md).
+    fail_wr(wr, Status::kRetryExceeded);
+    co_return;
+  }
+  if (!ack_only) {
+    const sim::Time t_lrx = eng.now();
+    const sim::Grant g_lrx = co_await lport.rx.use_then(
+        P.rnic_rx_proc, atomic ? P.pcie_dma_write_latency : 0);
+    attr_use(lport.rx, t_lrx, g_lrx);
+  }
+  if (traced) stamp(obs::Stage::kResponse, t_resp);
+  if (atomic) {
+    MemoryRegion* lmr = ctx_.lookup(wr.sg_list[0].lkey);
+    std::memcpy(lmr->at(wr.sg_list[0].addr), &old, 8);
+  } else if (read && total > 0) {
+    // The READ landing: one channel use per SGE, as in the gather; the
+    // PCIe write latency trails the last (fused when there is one SGE).
+    const sim::Time t_land = eng.now();
+    const sim::Grant g_ld = co_await lr.dma().use(P.pcie_time(total));
+    attr_use(lr.dma(), t_land, g_ld);
+    const bool one_sge = wr.sg_list.size() == 1;
+    sim::Duration pen = 0;
+    for (const auto& sge : wr.sg_list) {
+      const MemoryRegion* mr = ctx_.lookup(sge.lkey);
+      const sim::Duration p = lm.topo().dma_mem_penalty(lps, mr->socket);
+      const sim::Duration m = mem_cost(lm, mr->socket, sge.addr, sge.length,
+                                       Op::kWrite, lps == mr->socket);
+      const sim::Time t_m = eng.now();
+      const sim::Grant g_m = co_await lm.mem_channel(mr->socket).use_then(
+          m, one_sge ? p + P.pcie_dma_write_latency : 0);
+      attr_use(lm.mem_channel(mr->socket), t_m, g_m);
+      pen = std::max(pen, p);
+    }
+    if (!one_sge) {
+      const sim::Time t_p = eng.now();
+      co_await sim::delay(eng, pen + P.pcie_dma_write_latency);
+      attr_lat(t_p);
+    }
+    scatter_sges(ctx_, wr.sg_list.data(), wr.sg_list.size(), payload.data(),
+                 total);
+    if (traced) stamp(obs::Stage::kLocalDma, t_land);
+  }
+  complete(wr, Status::kSuccess, static_cast<std::uint32_t>(rlen), old);
 }
 
 }  // namespace rdmasem::verbs

@@ -2,10 +2,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/task.hpp"
+#include "util/ring.hpp"
 #include "verbs/context.hpp"
 #include "verbs/types.hpp"
 
@@ -103,11 +103,10 @@ class QueuePair {
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t flushed_wrs() const { return flushed_wrs_; }
 
-  // The one gather/scatter primitive every payload movement funnels
-  // through: WRITE/SEND source gather, READ response landing, the
-  // SEND->RECV consume, and the remem staging copies (SP batching).
-  // `limit` caps the total bytes scattered (a RECV SGE may be larger than
-  // the arriving message).
+  // The one gather/scatter primitive for SGE-list payload movement:
+  // WRITE/SEND source gather, READ response landing, and the remem
+  // staging copies (SP batching). `limit` caps the total bytes scattered
+  // (the SGEs may hold more than the data).
   static void gather_sges(Context& ctx, const Sge* sges, std::size_t n,
                           std::byte* dst);
   static void scatter_sges(Context& ctx, const Sge* sges, std::size_t n,
@@ -128,6 +127,10 @@ class QueuePair {
     bool done = false;
   };
 
+  // The one admission path of post_send and post_send_batch: the
+  // send-queue checks, the doorbell-time posted_at stamp, and the spawn of
+  // run_wr (or, on an ERROR QP, of the WR's deferred flush).
+  void enqueue(WorkRequest&& wr, bool bf);
   // `bf` = BlueFlame: the WQE arrived with the doorbell MMIO (single
   // posts), so the RNIC skips the descriptor-fetch DMA.
   sim::Task run_wr(WorkRequest wr, bool bf);
@@ -176,7 +179,7 @@ class QueuePair {
   // per-WR identity (wr_id is app-owned and may repeat). Bumped whether
   // or not tracing is on, so traced runs replay the untraced timeline.
   std::uint64_t trace_seq_ = 0;
-  std::deque<RecvRequest> recv_queue_;
+  util::Ring<RecvRequest, 4> recv_queue_;
   std::vector<Waiter> waiters_;
 };
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "util/ring.hpp"
 #include "verbs/types.hpp"
 
 namespace rdmasem::verbs {
@@ -48,7 +48,7 @@ class SharedReceiveQueue {
 
   Context& ctx_;
   std::uint32_t id_;
-  std::deque<RecvRequest> q_;
+  util::Ring<RecvRequest, 16> q_;
   std::uint64_t posted_ = 0;
   std::uint64_t consumed_ = 0;
 };

@@ -105,8 +105,8 @@ struct WorkRequest {
   // UD/DC only: destination of this datagram (the "address handle" /
   // DC target); UD and DC QPs have no fixed peer. Ignored on RC/UC.
   class QueuePair* ud_dest = nullptr;
-  // Stamped by the simulator when the WR becomes visible to the RNIC;
-  // drives post-to-CQE latency attribution (obs). Callers leave it 0.
+  // Stamped by the QP at the doorbell, when the WR becomes visible to the
+  // RNIC; drives doorbell-to-CQE latency (obs). Callers need not set it.
   sim::Time posted_at = 0;
   // Post-order sequence on the posting QP, assigned by post_send. Gives
   // the tracer a per-WR identity that stays unique when callers leave

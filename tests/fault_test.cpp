@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
@@ -497,6 +498,110 @@ TEST(LossPath, BoundedRetriesPinned) {
   EXPECT_EQ(drive(0.5), std::tuple(11, v::Status::kRetryExceeded,
                                    sim::Time{174151822}, std::uint64_t{11},
                                    std::uint64_t{sim::us(120)}));
+}
+
+// Every responder NAK reason and RNR exhaustion, pinned to exact values:
+// the WR's status and completion time plus the RNR counters. RC sends the
+// header-only NAK home; UC/UD drop the faulty packet and keep the local
+// success they reported when it left the NIC. A NAKed WR never touches
+// the responder's memory and leaves the QP in RTS.
+TEST(NakPath, EveryReasonPinned) {
+  enum class Rq : std::uint8_t { kNone, kSmall, kSrq };
+  struct Case {
+    const char* name;
+    v::Opcode op;
+    std::uint64_t remote_off = 0;
+    std::uint32_t len = 8;
+    bool bad_rkey = false;
+    v::Transport tp = v::Transport::kRC;
+    std::uint32_t rnr_retry = 0;
+    Rq rq = Rq::kNone;
+  };
+  using Pin = std::tuple<v::Status, sim::Time, std::uint64_t, std::uint64_t>;
+  auto drive = [](const Case& k) {
+    Testbed tb;
+    v::Buffer src(4096), dst(4096);
+    std::memset(dst.data(), 0x5a, 4096);
+    auto* lmr = tb.ctx[0]->register_buffer(src, 1);
+    auto* rmr = tb.ctx[1]->register_buffer(dst, 1);
+    auto cfg = tb.paper_qp();
+    cfg.transport = k.tp;
+    cfg.rnr_retry = k.rnr_retry;
+    auto rcfg = tb.paper_qp();
+    rcfg.transport = k.tp;
+    if (k.rq == Rq::kSrq) rcfg.srq = tb.ctx[1]->create_srq();
+    auto conn = tb.connect(0, 1, cfg, rcfg);
+    if (k.rq == Rq::kSmall)
+      conn.remote->post_recv({1, {rmr->addr, k.len - 1, rmr->key}});
+    v::WorkRequest wr;
+    wr.opcode = k.op;
+    wr.sg_list = {{lmr->addr, k.len, lmr->key}};
+    wr.remote_addr = rmr->addr + k.remote_off;
+    wr.rkey = k.bad_rkey ? rmr->key + 1000 : rmr->key;
+    // The CAS would match the fill, so an atomic that ran despite its NAK
+    // shows up as changed memory.
+    wr.compare = 0x5a5a5a5a5a5a5a5aull;
+    wr.swap_or_add = 1;
+    if (k.tp == v::Transport::kUD || k.tp == v::Transport::kDc)
+      wr.ud_dest = conn.remote;
+    v::Completion c;
+    run(tb, [](v::QueuePair* q, v::WorkRequest w,
+               v::Completion& out) -> sim::Task {
+      out = co_await q->execute(std::move(w));
+    }(conn.local, std::move(wr), c));
+    EXPECT_TRUE(std::all_of(dst.data(), dst.data() + 4096,
+                            [](std::byte b) { return b == std::byte{0x5a}; }))
+        << k.name;
+    EXPECT_EQ(conn.local->state(), v::QpState::kRts) << k.name;
+    if (!c.ok() && (k.op == v::Opcode::kCompSwap ||
+                    k.op == v::Opcode::kFetchAdd)) {
+      EXPECT_EQ(c.atomic_old, v::kPoisonedAtomicOld) << k.name;
+    }
+    return Pin{c.status, c.completed_at, tb.cluster.obs().rnr_naks.value(),
+               tb.cluster.obs().srq_rnr.value()};
+  };
+
+  using S = v::Status;
+  using O = v::Opcode;
+  using T = v::Transport;
+  const std::pair<Case, Pin> cases[] = {
+      {{"write bad rkey", O::kWrite, 0, 64, true},
+       {S::kRemoteAccessError, 1926501, 0, 0}},
+      {{"write out of range", O::kWrite, 4090, 64},
+       {S::kRemoteAccessError, 1926501, 0, 0}},
+      {{"read bad rkey", O::kRead, 0, 64, true},
+       {S::kRemoteAccessError, 1823200, 0, 0}},
+      {{"read out of range", O::kRead, 4000, 200},
+       {S::kRemoteAccessError, 1823200, 0, 0}},
+      {{"faa out of range", O::kFetchAdd, 4092},
+       {S::kRemoteAccessError, 1828000, 0, 0}},
+      {{"cas bad rkey", O::kCompSwap, 0, 8, true},
+       {S::kRemoteAccessError, 1828000, 0, 0}},
+      {{"faa misaligned", O::kFetchAdd, 4},
+       {S::kRemoteInvalidRequest, 1828000, 0, 0}},
+      {{"cas short result sge", O::kCompSwap, 0, 4},
+       {S::kRemoteInvalidRequest, 1828000, 0, 0}},
+      {{"dc cas misaligned", O::kCompSwap, 12, 8, false, T::kDc},
+       {S::kRemoteInvalidRequest, 1948000, 0, 0}},
+      {{"send recv too small", O::kSend, 0, 64, false, T::kRC, 0, Rq::kSmall},
+       {S::kRemoteInvalidRequest, 1926501, 0, 0}},
+      {{"send rnr retry 0", O::kSend, 0, 64},
+       {S::kRnrRetryExceeded, 1926501, 0, 0}},
+      {{"send rnr retry 2", O::kSend, 0, 64, false, T::kRC, 2},
+       {S::kRnrRetryExceeded, 11005301, 2, 0}},
+      {{"srq rnr retry 0", O::kSend, 0, 64, false, T::kRC, 0, Rq::kSrq},
+       {S::kRnrRetryExceeded, 1926501, 0, 1}},
+      {{"srq rnr retry 2", O::kSend, 0, 64, false, T::kRC, 2, Rq::kSrq},
+       {S::kRnrRetryExceeded, 11005301, 2, 3}},
+      {{"uc write bad rkey", O::kWrite, 0, 64, true, T::kUC},
+       {S::kSuccess, 1387101, 0, 0}},
+      {{"uc send recv too small", O::kSend, 0, 64, false, T::kUC, 0,
+        Rq::kSmall},
+       {S::kSuccess, 1387101, 0, 0}},
+      {{"ud send rnr", O::kSend, 0, 64, false, T::kUD, 2},
+       {S::kSuccess, 1387101, 0, 0}},
+  };
+  for (const auto& [k, pin] : cases) EXPECT_EQ(drive(k), pin) << k.name;
 }
 
 TEST(LossPath, UdDatagramsDropSilently) {

@@ -47,28 +47,47 @@ struct Reference {
 
 class VerbsDifferential : public ::testing::TestWithParam<int> {};
 
+// Besides single-SGE WRITE/READ/FAA/CAS, the sequence drives every
+// responder branch: 2-4-SGE WRITE gathers and READ scatters, SENDs into a
+// pre-posted RECV, out-of-range WRITEs (NAKed, memory untouched) and
+// misaligned CASes (NAKed with a poisoned atomic_old).
 TEST_P(VerbsDifferential, RandomOpSequenceMatchesReference) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   Testbed tb;
-  v::Buffer local(kRegion), remote(kRegion);
+  v::Buffer local(kRegion), remote(kRegion), inbox(kRegion);
   auto* lmr = tb.ctx[0]->register_buffer(local, 1);
   auto* rmr = tb.ctx[1]->register_buffer(remote, 1);
+  auto* imr = tb.ctx[1]->register_buffer(inbox, 1);
   auto conn = tb.connect(0, 1);
   Reference ref;
 
   bool mismatch = false;
-  tb.eng.spawn([](Testbed&, v::QueuePair* qp, v::Buffer& lbuf,
-                  v::MemoryRegion* l, v::MemoryRegion* r, Reference& m,
-                  std::uint64_t sd, bool& bad) -> sim::Task {
+  tb.eng.spawn([](Testbed&, Testbed::Conn cn, v::Buffer& lbuf,
+                  v::Buffer& ibuf, v::MemoryRegion* l, v::MemoryRegion* r,
+                  v::MemoryRegion* in, Reference& m, std::uint64_t sd,
+                  bool& bad) -> sim::Task {
+    v::QueuePair* qp = cn.local;
     sim::Rng rng(sd * 7919 + 13);
+    auto fill = [&](std::size_t at, std::uint32_t n) {
+      for (std::uint32_t b = 0; b < n; ++b)
+        lbuf.data()[at + b] = static_cast<std::byte>(rng.uniform(256));
+    };
+    // 2-4 SGEs of 1-128 bytes, one per 256-byte slot from `base`.
+    auto sges = [&](std::uint64_t base, v::WorkRequest& wr) {
+      const std::uint64_t n = 2 + rng.uniform(3);
+      wr.sg_list.clear();
+      for (std::uint64_t i = 0; i < n; ++i)
+        wr.sg_list.push_back(
+            {l->addr + base + i * 256,
+             static_cast<std::uint32_t>(1 + rng.uniform(128)), l->key});
+    };
     for (int i = 0; i < 400 && !bad; ++i) {
-      const std::uint64_t kind = rng.uniform(4);
+      const std::uint64_t kind = rng.uniform(9);
       if (kind == 0) {  // write
         const std::uint32_t size =
             static_cast<std::uint32_t>(1 + rng.uniform(512));
         const std::uint64_t off = rng.uniform(kRegion - size);
-        for (std::uint32_t b = 0; b < size; ++b)
-          lbuf.data()[b] = static_cast<std::byte>(rng.uniform(256));
+        fill(0, size);
         v::WorkRequest wr;
         wr.opcode = v::Opcode::kWrite;
         wr.sg_list = {{l->addr, size, l->key}};
@@ -101,7 +120,7 @@ TEST_P(VerbsDifferential, RandomOpSequenceMatchesReference) {
         wr.swap_or_add = delta;
         const auto c = co_await qp->execute(std::move(wr));
         if (!c.ok() || c.atomic_old != m.faa(off, delta)) bad = true;
-      } else {  // compare-and-swap (50% chance of matching expected)
+      } else if (kind == 3) {  // compare-and-swap (50% matching expected)
         const std::uint64_t off = rng.uniform(kRegion / 8) * 8;
         std::uint64_t cur = 0;
         std::memcpy(&cur, m.mem.data() + off, 8);
@@ -116,13 +135,91 @@ TEST_P(VerbsDifferential, RandomOpSequenceMatchesReference) {
         wr.swap_or_add = val;
         const auto c = co_await qp->execute(std::move(wr));
         if (!c.ok() || c.atomic_old != m.cas(off, cmp, val)) bad = true;
+      } else if (kind == 4) {  // multi-SGE write: the gather concatenates
+        v::WorkRequest wr;
+        wr.opcode = v::Opcode::kWrite;
+        sges(4096, wr);
+        std::vector<std::byte> sent;
+        for (const auto& s : wr.sg_list) {
+          fill(s.addr - l->addr, s.length);
+          sent.insert(sent.end(), lbuf.data() + (s.addr - l->addr),
+                      lbuf.data() + (s.addr - l->addr) + s.length);
+        }
+        const std::uint64_t off = rng.uniform(kRegion - sent.size());
+        wr.remote_addr = r->addr + off;
+        wr.rkey = r->key;
+        const auto c = co_await qp->execute(std::move(wr));
+        if (!c.ok() || c.byte_len != sent.size()) bad = true;
+        m.write(off, sent);
+      } else if (kind == 5) {  // multi-SGE read: the landing scatters
+        v::WorkRequest wr;
+        wr.opcode = v::Opcode::kRead;
+        sges(8192, wr);
+        const std::size_t total = wr.total_length();
+        const std::uint64_t off = rng.uniform(kRegion - total);
+        wr.remote_addr = r->addr + off;
+        wr.rkey = r->key;
+        const v::WorkRequest sent = wr;
+        const auto c = co_await qp->execute(std::move(wr));
+        if (!c.ok() || c.byte_len != total) bad = true;
+        std::size_t at = off;
+        for (const auto& s : sent.sg_list) {
+          if (std::memcmp(lbuf.data() + (s.addr - l->addr), m.mem.data() + at,
+                          s.length) != 0)
+            bad = true;
+          at += s.length;
+        }
+      } else if (kind == 6) {  // SEND into a pre-posted RECV
+        const std::uint32_t size =
+            static_cast<std::uint32_t>(1 + rng.uniform(512));
+        const std::uint64_t at = rng.uniform(kRegion - 1024);
+        const auto recv_id = static_cast<std::uint64_t>(i) + 1;
+        cn.remote->post_recv({recv_id, {in->addr + at, 1024, in->key}});
+        fill(0, size);
+        v::WorkRequest wr;
+        wr.opcode = v::Opcode::kSend;
+        wr.sg_list = {{l->addr, size, l->key}};
+        const auto c = co_await qp->execute(std::move(wr));
+        const auto rc = cn.remote->config().cq->poll();
+        if (!c.ok() || !rc.has_value() || rc->wr_id != recv_id ||
+            rc->opcode != v::Opcode::kRecv || rc->byte_len != size ||
+            std::memcmp(ibuf.data() + at, lbuf.data(), size) != 0)
+          bad = true;
+      } else if (kind == 7) {  // out-of-range write: NAK, memory untouched
+        const std::uint32_t size =
+            static_cast<std::uint32_t>(2 + rng.uniform(511));
+        const std::uint64_t off = kRegion - size + 1 + rng.uniform(size - 1);
+        fill(0, size);
+        v::WorkRequest wr;
+        wr.opcode = v::Opcode::kWrite;
+        wr.sg_list = {{l->addr, size, l->key}};
+        wr.remote_addr = r->addr + off;
+        wr.rkey = r->key;
+        const auto c = co_await qp->execute(std::move(wr));
+        if (c.status != v::Status::kRemoteAccessError || c.byte_len != 0)
+          bad = true;
+      } else {  // misaligned CAS: NAK, poisoned old value, memory untouched
+        const std::uint64_t off =
+            rng.uniform(kRegion / 8 - 1) * 8 + 1 + rng.uniform(7);
+        v::WorkRequest wr;
+        wr.opcode = v::Opcode::kCompSwap;
+        wr.sg_list = {{l->addr + 2048, 8, l->key}};
+        wr.remote_addr = r->addr + off;
+        wr.rkey = r->key;
+        std::memcpy(&wr.compare, m.mem.data() + off, 8);
+        wr.swap_or_add = rng.next();
+        const auto c = co_await qp->execute(std::move(wr));
+        if (c.status != v::Status::kRemoteInvalidRequest ||
+            c.atomic_old != v::kPoisonedAtomicOld)
+          bad = true;
       }
     }
-  }(tb, conn.local, local, lmr, rmr, ref, seed, mismatch));
+  }(tb, conn, local, inbox, lmr, rmr, imr, ref, seed, mismatch));
   tb.eng.run();
 
   EXPECT_FALSE(mismatch);
   EXPECT_EQ(std::memcmp(remote.data(), ref.mem.data(), kRegion), 0);
+  EXPECT_EQ(conn.local->state(), v::QpState::kRts);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerbsDifferential, ::testing::Range(0, 8));

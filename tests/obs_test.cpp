@@ -339,6 +339,27 @@ TEST(ObsEndToEnd, HubGaugesSeeTheFabric) {
   EXPECT_GT(tb.cluster.obs().wr_latency_ns.quantile_bound(0.5), 0u);
 }
 
+// A WR posted at virtual time 0 is timed like any other: t = 0 is a real
+// doorbell instant, not "never posted".
+TEST(ObsEndToEnd, WrPostedAtTimeZeroIsTimed) {
+  for (const bool batch : {false, true}) {
+    Testbed tb;
+    v::Buffer src(4096), dst(4096);
+    auto* lmr = tb.ctx[0]->register_buffer(src, 1);
+    auto* rmr = tb.ctx[1]->register_buffer(dst, 1);
+    auto conn = tb.connect(0, 1);
+    if (batch)
+      conn.local->post_send_batch(std::vector<v::WorkRequest>{
+          make_write(*lmr, 0, *rmr, 0, 64), make_write(*lmr, 0, *rmr, 64, 64)});
+    else
+      conn.local->post_send(make_write(*lmr, 0, *rmr, 0, 64));
+    tb.eng.run();
+    EXPECT_EQ(tb.cluster.obs().wr_latency_ns.count(), batch ? 2u : 1u)
+        << (batch ? "post_send_batch" : "post_send");
+    EXPECT_GT(tb.cluster.obs().wr_latency_ns.quantile_bound(0.5), 0u);
+  }
+}
+
 // The payload-staging counters are pure predicates of WR shape and the
 // tuning knobs (never of free-list state), so exact values are asserted:
 // one per route the datapath can take.
