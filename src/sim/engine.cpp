@@ -46,13 +46,7 @@ Engine::~Engine() {
   // resumptions reference frames, pending callables own their boxes),
   // then destroy surviving frames.
   queue_.clear();
-  // Snapshot before destroying: a frame's locals may unregister other
-  // frames from their destructors.
-  std::vector<void*> live;
-  live.reserve(detached_.size());
-  detached_.for_each([&](void* p) { live.push_back(p); });
-  detached_.clear();
-  for (void* addr : live) std::coroutine_handle<>::from_address(addr).destroy();
+  detached_.destroy_all();
 }
 
 void Engine::configure_lanes(std::uint32_t lanes, LaneTopology topo) {
@@ -101,7 +95,7 @@ void Engine::seed(std::uint64_t s) {
 
 void Engine::spawn_on(std::uint32_t lane, Task&& task) {
   RDMASEM_CHECK_MSG(lane < lanes_, "spawn_on: lane out of range");
-  auto h = task.release_detached(&detached_);
+  auto h = task.release_detached(detached_);
   resume_on(lane, now_, h);
 }
 

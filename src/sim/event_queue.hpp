@@ -1,7 +1,6 @@
 #pragma once
 
-#include <algorithm>
-#include <bit>
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <new>
@@ -138,33 +137,38 @@ inline bool event_after(const Event& a, const Event& b) {
 //
 // Two tiers, by distance from the dispatch cursor:
 //
-//   * near ring: kBuckets time buckets of kSlotWidth each (~2 us horizon
-//     total), covering the short-horizon delays that dominate the verb
-//     pipeline (EU/DMA/wire/DRAM service times) as well as same-timestamp
-//     wakeups, which land in the cursor bucket. Future buckets are
-//     unsorted vectors (O(1) append); a bucket is sorted once, when the
-//     cursor reaches it, and consumed through a head index, so dispatch
-//     is O(1) per event. Pushes into the cursor bucket insert in key
-//     order — an append when the key is past the bucket maximum (the
-//     common monotone case: per-lane seq counters only grow), a binary
-//     search + small memmove otherwise (buckets hold few events).
+//   * near ring: kBuckets time buckets of 2^kSlotShift ps each (~2 us
+//     horizon total), covering the short-horizon delays that dominate the
+//     verb pipeline (EU/DMA/wire/DRAM service times) as well as
+//     same-timestamp wakeups, which land in the cursor bucket. All buckets
+//     share one slab of kBuckets x kBucketCap events with a count per
+//     bucket. Future buckets are unsorted (O(1) append); a bucket is
+//     insertion-sorted once, when the cursor reaches it, and consumed
+//     through a head index, so dispatch is O(1) per event. Pushes into
+//     the cursor bucket insert in key order — an append when the key is
+//     past the bucket maximum (the common monotone case: per-lane seq
+//     counters only grow), a short shift otherwise.
 //   * overflow: a (at, seq) min-heap for events past the ring horizon
-//     (retransmit timers, fault windows, app-level timeouts) or behind
-//     the cursor (pushes after run_until parked the clock). When the ring drains, the window re-anchors at the
-//     overflow minimum and one horizon's worth of events migrates into
-//     the ring (each event migrates at most once).
+//     (retransmit timers, lease timers, fault windows), behind the cursor
+//     (after run_until parked the clock, or a peek moved the cursor past
+//     the clock's bucket), or pushed into a full bucket. When the ring drains, the window re-anchors at the overflow
+//     minimum and one horizon's worth of events migrates into the ring
+//     (each event migrates at most once; a full bucket ends the
+//     migration early).
 //
-// The seed engine's separate same-timestamp FIFO ring is gone: with
-// lane-packed seq keys, push order at one timestamp is no longer key
-// order (a later push from a lower lane sorts first), so immediates are
-// ordered through the cursor-bucket heap like everything else.
+// pop() returns the smaller of the cursor-bucket head and the heap front,
+// so an event may sit in either tier. The header-inline fast paths —
+// push's append to a future bucket with room, and pop/peek's read of the
+// cursor-bucket head — skip the heap compare when the head is strictly
+// earlier than the cached heap-front time; everything else (cursor
+// insert, spill, bucket advance and open, re-anchor) is out of line.
 //
 // Determinism: pop() always returns the global (at, seq) minimum across
 // the tiers regardless of push order — pushes do NOT need increasing seq
 // (asserted by the fuzz differential in tests/fuzz_test.cpp).
 //
-// Storage is pooled by construction: bucket vectors and the overflow
-// heap keep their capacity across cycles, so a warmed-up queue schedules
+// Storage is allocated once: the slab at construction, and the overflow
+// heap keeps its capacity across cycles, so a warmed-up queue schedules
 // and dispatches without allocating.
 class EventQueue {
  public:
@@ -173,22 +177,12 @@ class EventQueue {
   static constexpr std::uint32_t kBuckets = 1u << kBucketBits;
   static constexpr std::uint32_t kIndexMask = kBuckets - 1;
   static constexpr std::uint32_t kSlotShift = 13;  // 2^13 ps per bucket
+  // Events one bucket holds. Cluster runs average about two per bucket;
+  // a push into a full bucket goes to the overflow heap. 256 x 16 x 32 B
+  // = 128 KB per queue.
+  static constexpr std::uint32_t kBucketCap = 16;
 
-  // Buckets start with room for a handful of coexisting events so the
-  // steady state really is allocation-free: without the reserve, every
-  // first-time collision of k events in one 8 ns bucket (the phase of a
-  // pipeline drifts across buckets over time) grows that bucket's vector
-  // 0->1->2->..., which shows up as rare-but-unbounded-tail allocations
-  // in the selfbench datapath probe. 256 x 8 x sizeof(Event) = 64 KB per
-  // queue, paid once at construction.
-  static constexpr std::size_t kInitialBucketCap = 8;
-  // Bucket size up to which open_bucket() sorts by insertion.
-  static constexpr std::size_t kInsertionSortMax = 16;
-
-  EventQueue() {
-    for (auto& b : buckets_) b.reserve(kInitialBucketCap);
-    overflow_.reserve(64);
-  }
+  EventQueue();
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -204,195 +198,106 @@ class EventQueue {
     ++size_;
     if (size_ > max_size_) max_size_ = size_;
     const std::uint64_t slot = ev.at >> kSlotShift;
-    if (slot >= cur_slot_ && slot - cur_slot_ < kBuckets) {
-      auto& b = buckets_[slot & kIndexMask];
-      mark_occupied(static_cast<std::uint32_t>(slot & kIndexMask));
-      ++ring_count_;
-      if (slot != cur_slot_ || b.empty() || event_before(b.back(), ev)) {
-        b.push_back(ev);
-      } else {
-        // The cursor bucket is kept sorted from head_ (pop reads its
-        // minimum at head_); keep the live region ordered.
-        b.insert(std::upper_bound(b.begin() + head_, b.end(), ev,
-                                  event_before),
-                 ev);
+    // Unsigned wrap: true only for slots 1..kBuckets-1 past the cursor.
+    if (slot - cur_slot_ - 1 < kBuckets - 1) {
+      const auto idx = static_cast<std::uint32_t>(slot & kIndexMask);
+      std::uint32_t& n = count_[idx];
+      if (n < kBucketCap) {
+        slab_[idx * kBucketCap + n] = ev;
+        ++n;
+        mark_occupied(idx);
+        return;
       }
-      return;
     }
-    // Past the horizon — or (rarely) behind the cursor, which happens
-    // only after run_until() parked the clock below the next event: the
-    // overflow heap handles both, and pop() considers its top directly.
-    overflow_.push_back(ev);
-    std::push_heap(overflow_.begin(), overflow_.end(), event_after);
+    push_slow(ev);
   }
 
   // Removes and returns the (at, seq)-minimum event. Requires !empty().
   Event pop() {
     RDMASEM_CHECK_MSG(size_ > 0, "pop on empty event queue");
     --size_;
-    prepare();
-    return ring_wins() ? pop_ring() : pop_overflow();
+    const std::uint32_t ci = cur_index();
+    if (head_ < count_[ci] &&
+        slab_[ci * kBucketCap + head_].at < overflow_at_)
+      return take_head(ci);
+    return pop_slow();
   }
 
   // Timestamp of the next event in dispatch order. Requires !empty().
   Time next_time() {
     RDMASEM_CHECK_MSG(size_ > 0, "next_time on empty event queue");
-    prepare();
-    return peek_best()->at;
+    return front().at;
   }
 
   // (at, seq) key of the next event in dispatch order. Requires !empty().
   // The engine's inline fast path compares a would-be wakeup against it.
   std::pair<Time, std::uint64_t> peek() {
     RDMASEM_CHECK_MSG(size_ > 0, "peek on empty event queue");
-    prepare();
-    const Event* best = peek_best();
-    return {best->at, best->seq};
+    const Event& best = front();
+    return {best.at, best.seq};
   }
 
   // Drops every queued event (engine teardown), freeing callable boxes.
-  // Capacities are kept.
-  void clear() {
-    for (std::uint32_t i = 0; i < kBuckets; ++i) {
-      auto& b = buckets_[i];
-      // The cursor bucket's [0, head_) was popped (copied out, and fired
-      // or handed on by the popper) but still holds the targets.
-      const std::size_t live_from = i == cur_index() ? head_ : 0;
-      for (std::size_t k = live_from; k < b.size(); ++k) b[k].drop();
-      b.clear();
-    }
-    for (const Event& ev : overflow_) ev.drop();
-    for (auto& w : occupied_) w = 0;
-    overflow_.clear();
-    size_ = 0;
-    max_size_ = 0;
-    ring_count_ = 0;
-    cur_slot_ = 0;
-    head_ = 0;
-  }
+  // The slab and the heap's capacity are kept.
+  void clear();
 
  private:
+  static constexpr Time kNoOverflow = ~Time{0};
+
   std::uint32_t cur_index() const {
     return static_cast<std::uint32_t>(cur_slot_ & kIndexMask);
   }
-
-  const Event* ring_top() const {
-    return ring_count_ > 0 && !buckets_[cur_index()].empty()
-               ? &buckets_[cur_index()][head_]
-               : nullptr;
-  }
-  bool ring_wins() const {
-    const Event* rt = ring_top();
-    return rt != nullptr &&
-           (overflow_.empty() || event_before(*rt, overflow_.front()));
-  }
-  // Pointer to the (at, seq)-minimum event; call prepare() first.
-  const Event* peek_best() const {
-    return ring_wins() ? ring_top() : &overflow_.front();
-  }
-
   void mark_occupied(std::uint32_t idx) {
     occupied_[idx >> 6] |= 1ull << (idx & 63);
   }
-  void mark_empty(std::uint32_t idx) {
-    occupied_[idx >> 6] &= ~(1ull << (idx & 63));
-  }
 
-  // Sorts the bucket the cursor just reached and resets the consumption
-  // head. Done exactly once per bucket per window pass. Buckets hold about
-  // two events on average in cluster runs; a plain insertion sort skips
-  // std::sort's introsort setup and its per-shift memmove calls there.
-  void open_bucket() {
-    auto& b = buckets_[cur_index()];
-    if (b.size() <= kInsertionSortMax) {
-      for (std::size_t i = 1; i < b.size(); ++i) {
-        const Event ev = b[i];
-        std::size_t j = i;
-        for (; j > 0 && event_before(ev, b[j - 1]); --j) b[j] = b[j - 1];
-        b[j] = ev;
-      }
-    } else {
-      std::sort(b.begin(), b.end(), event_before);
-    }
-    head_ = 0;
-  }
-
-  // Makes the cursor bucket hold the ring minimum: re-anchors an empty
-  // ring at the overflow front (bulk refill, each event migrates once)
-  // and walks the cursor to the next occupied bucket.
-  void prepare() {
-    if (ring_count_ == 0) {
-      if (overflow_.empty()) return;
-      // Re-anchor the window at the earliest overflow event and pull in
-      // one horizon's worth. Safe precisely because the ring is empty.
-      cur_slot_ = overflow_.front().at >> kSlotShift;
-      while (!overflow_.empty() &&
-             (overflow_.front().at >> kSlotShift) - cur_slot_ < kBuckets) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), event_after);
-        const Event ev = overflow_.back();
-        overflow_.pop_back();
-        const auto slot = ev.at >> kSlotShift;
-        buckets_[slot & kIndexMask].push_back(ev);
-        mark_occupied(static_cast<std::uint32_t>(slot & kIndexMask));
-        ++ring_count_;
-      }
-      open_bucket();
-      return;
-    }
-    if (!buckets_[cur_index()].empty()) return;
-    // Advance to the next occupied bucket (bitmap scan, word at a time).
+  // The (at, seq)-minimum event, left in place.
+  const Event& front() {
     const std::uint32_t ci = cur_index();
-    std::uint32_t pos = (ci + 1) & kIndexMask;
-    std::uint32_t remaining = kBuckets - 1;
-    while (remaining > 0) {
-      const std::uint32_t word = pos >> 6;
-      const std::uint32_t off = pos & 63;
-      const std::uint32_t span = std::min(remaining, 64 - off);
-      std::uint64_t bits = occupied_[word] >> off;
-      if (span < 64) bits &= (1ull << span) - 1;
-      if (bits != 0) {
-        const std::uint32_t hit = pos + static_cast<std::uint32_t>(
-                                            std::countr_zero(bits));
-        const std::uint32_t dist = (hit - ci) & kIndexMask;
-        cur_slot_ += dist;
-        open_bucket();
-        return;
-      }
-      pos = (pos + span) & kIndexMask;
-      remaining -= span;
+    if (head_ < count_[ci]) {
+      const Event& head = slab_[ci * kBucketCap + head_];
+      if (head.at < overflow_at_) return head;
     }
-    RDMASEM_CHECK_MSG(false, "ring_count_ > 0 but no occupied bucket");
+    return front_slow();
   }
 
-  Event pop_ring() {
-    auto& b = buckets_[cur_index()];
-    const Event ev = b[head_];
-    if (++head_ == b.size()) {
-      b.clear();
+  // Consumes the cursor bucket's head; the bucket must be non-empty.
+  Event take_head(std::uint32_t ci) {
+    const Event ev = slab_[ci * kBucketCap + head_];
+    if (++head_ == count_[ci]) {
+      count_[ci] = 0;
       head_ = 0;
-      mark_empty(cur_index());
+      occupied_[ci >> 6] &= ~(1ull << (ci & 63));
     }
-    --ring_count_;
     return ev;
   }
 
-  Event pop_overflow() {
-    std::pop_heap(overflow_.begin(), overflow_.end(), event_after);
-    const Event ev = overflow_.back();
-    overflow_.pop_back();
-    return ev;
-  }
+  void push_slow(const Event& ev);
+  bool insert_cursor(const Event& ev);
+  void push_overflow(const Event& ev);
+  // After prepare(): whether the cursor-bucket head precedes the heap
+  // front (both tiers may hold events).
+  bool ring_wins() const;
+  Event pop_slow();
+  Event pop_overflow();
+  const Event& front_slow();
+  void prepare();
+  void reanchor();
+  void open_bucket();
 
-  std::vector<Event> buckets_[kBuckets];
-  std::uint64_t occupied_[kBuckets / 64] = {};
+  // Bucket i holds slab_[i * kBucketCap, i * kBucketCap + count_[i]).
+  std::vector<Event> slab_;
+  std::array<std::uint32_t, kBuckets> count_{};
+  std::array<std::uint64_t, kBuckets / 64> occupied_{};
   std::vector<Event> overflow_;  // min-heap on (at, seq)
-  std::uint64_t cur_slot_ = 0;   // absolute slot of the cursor bucket
+  // overflow_.front().at, or kNoOverflow while the heap is empty.
+  Time overflow_at_ = kNoOverflow;
+  std::uint64_t cur_slot_ = 0;  // absolute slot of the cursor bucket
   // Next live element of the cursor bucket; [0, head_) is consumed. Only
-  // ever non-zero for the cursor bucket (fully-consumed buckets clear).
-  std::size_t head_ = 0;
+  // ever non-zero for the cursor bucket (a fully consumed bucket resets).
+  std::uint32_t head_ = 0;
   std::size_t size_ = 0;
   std::size_t max_size_ = 0;
-  std::size_t ring_count_ = 0;
 };
 
 }  // namespace rdmasem::sim

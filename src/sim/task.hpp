@@ -7,7 +7,6 @@
 
 #include "sim/size_class_pool.hpp"
 #include "util/assert.hpp"
-#include "util/ptr_set.hpp"
 
 namespace rdmasem::sim {
 
@@ -26,11 +25,54 @@ namespace rdmasem::sim {
 template <typename T>
 class TaskT;
 
+// A detached frame's link in its engine's DetachedRegistry, embedded in
+// the promise.
+struct DetachedNode {
+  DetachedNode* prev = nullptr;
+  DetachedNode* next = nullptr;
+  std::coroutine_handle<> frame{};
+};
+
 // Engine-side registry of live detached coroutine frames, so frames still
-// suspended at engine teardown can be reclaimed. A flat open-addressing
-// PtrSet: spawn/finish is once per work request, and a node-based set
-// would put one heap allocation on that path.
-using DetachedRegistry = util::PtrSet;
+// suspended at engine teardown can be reclaimed: an intrusive circular
+// doubly linked list through the promises, so spawn (link) and finish
+// (unlink) are O(1) pointer writes with no allocation and no lookup.
+class DetachedRegistry {
+ public:
+  DetachedRegistry() { head_.prev = head_.next = &head_; }
+  DetachedRegistry(const DetachedRegistry&) = delete;
+  DetachedRegistry& operator=(const DetachedRegistry&) = delete;
+  ~DetachedRegistry() { RDMASEM_CHECK(empty()); }
+
+  bool empty() const { return head_.next == &head_; }
+
+  void link(DetachedNode& n, std::coroutine_handle<> frame) {
+    n.frame = frame;
+    n.prev = &head_;
+    n.next = head_.next;
+    head_.next->prev = &n;
+    head_.next = &n;
+  }
+  static void unlink(DetachedNode& n) {
+    n.prev->next = n.next;
+    n.next->prev = n.prev;
+    n.prev = n.next = nullptr;
+  }
+
+  // Destroys every frame still linked. Each is unlinked before its
+  // destroy, and the next one is read afresh, so a frame whose locals
+  // finish or unlink other frames from their destructors is safe.
+  void destroy_all() {
+    while (!empty()) {
+      DetachedNode& n = *head_.next;
+      unlink(n);
+      n.frame.destroy();
+    }
+  }
+
+ private:
+  DetachedNode head_;
+};
 
 namespace detail {
 
@@ -45,7 +87,7 @@ struct FinalAwaiter {
     const std::coroutine_handle<> cont = p.continuation;
     if (p.detached) {
       if (p.exception) std::terminate();  // bug in a detached simulation task
-      if (p.detached_registry) p.detached_registry->erase(h.address());
+      DetachedRegistry::unlink(p);
       h.destroy();
       return cont ? cont : std::noop_coroutine();
     }
@@ -55,15 +97,15 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
+// The DetachedNode base links a frame detached via Engine::spawn into the
+// engine's registry of live frames (so still-suspended tasks can be
+// reclaimed when the engine dies).
 template <typename T>
-struct PromiseBase {
+struct PromiseBase : DetachedNode {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
   bool detached = false;
   bool finished = false;
-  // When detached via Engine::spawn, the engine's registry of live frames
-  // (so still-suspended tasks can be reclaimed when the engine dies).
-  DetachedRegistry* detached_registry = nullptr;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
@@ -133,11 +175,10 @@ class [[nodiscard]] TaskT {
 
   // Used by Engine::spawn: marks detached and releases ownership.
   std::coroutine_handle<promise_type> release_detached(
-      DetachedRegistry* registry) {
+      DetachedRegistry& registry) {
     RDMASEM_CHECK(h_ != nullptr);
     h_.promise().detached = true;
-    h_.promise().detached_registry = registry;
-    if (registry) registry->insert(h_.address());
+    registry.link(h_.promise(), h_);
     return std::exchange(h_, nullptr);
   }
 
@@ -196,11 +237,10 @@ class [[nodiscard]] TaskT<void> {
   }
 
   std::coroutine_handle<promise_type> release_detached(
-      DetachedRegistry* registry) {
+      DetachedRegistry& registry) {
     RDMASEM_CHECK(h_ != nullptr);
     h_.promise().detached = true;
-    h_.promise().detached_registry = registry;
-    if (registry) registry->insert(h_.address());
+    registry.link(h_.promise(), h_);
     return std::exchange(h_, nullptr);
   }
 

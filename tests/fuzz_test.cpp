@@ -308,7 +308,8 @@ TEST(SimStress, ResourceConservationLaw) {
 // same-timestamp pushes, ring-window pushes, overflow pushes and
 // run_until-style clock parking. Keys are lane-packed like the engine's
 // ((origin_lane << 48) | per_lane_seq), so push order at one timestamp is
-// NOT key order: a later push from a lower lane sorts first.
+// NOT key order: a later push from a lower lane sorts first. Every pop is
+// preceded by a peek() that must name the same event.
 
 namespace {
 
@@ -323,19 +324,12 @@ struct RefLater {
   }
 };
 
-}  // namespace
+// The queue under test and the reference heap, driven in lockstep.
+struct QueueHarness {
+  explicit QueueHarness(std::uint64_t seed)
+      : rng(seed * 6364136223846793005ull + 1) {}
 
-class EventQueueDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  sim::Rng rng(seed * 6364136223846793005ull + 1);
-  sim::EventQueue q;
-  std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> ref;
-  sim::Time now = 0;
-  std::uint64_t seq = 0;
-
-  const auto push = [&](sim::Time at) {
+  void push(sim::Time at) {
     if (at < now) at = now;
     // Pack a random origin lane above the per-push counter: unique keys
     // whose order differs from push order, as with cross-lane wakes.
@@ -343,49 +337,118 @@ TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
     q.push(sim::Event{at, key});
     ref.push(RefEvent{at, key});
     ++seq;
-  };
-  const auto pop_one = [&]() {
-    const sim::Event ev = q.pop();
+  }
+  // A push with a mix of horizons: immediate (at == now), sub-bucket,
+  // inside the ring window, just past it, and far future.
+  void push_random() {
+    sim::Time at = now;
+    switch (rng.uniform(5)) {
+      case 0: break;
+      case 1: at = now + rng.uniform(5000); break;
+      case 2: at = now + rng.uniform(1u << 21); break;
+      case 3: at = now + (1u << 21) + rng.uniform(1u << 24); break;
+      default: at = now + rng.uniform(1ull << 40); break;
+    }
+    push(at);
+  }
+  void pop_one() {
     const RefEvent want = ref.top();
+    const auto peeked = q.peek();
+    ASSERT_EQ(peeked.first, want.at);
+    ASSERT_EQ(peeked.second, want.seq);
+    const sim::Event ev = q.pop();
     ref.pop();
     ASSERT_EQ(ev.at, want.at);
     ASSERT_EQ(ev.seq, want.seq);
     now = ev.at;
-  };
-
-  for (int step = 0; step < 30000; ++step) {
-    const auto op = rng.uniform(10);
-    if (op < 5 || ref.empty()) {
-      // Push with a mix of horizons: immediate (at == now), sub-bucket,
-      // inside the ring window, just past it, and far future.
-      sim::Time at = now;
-      switch (rng.uniform(5)) {
-        case 0: break;
-        case 1: at = now + rng.uniform(5000); break;
-        case 2: at = now + rng.uniform(1u << 21); break;
-        case 3: at = now + (1u << 21) + rng.uniform(1u << 24); break;
-        default: at = now + rng.uniform(1ull << 40); break;
-      }
-      push(at);
-    } else if (op < 8) {
+  }
+  // run_until-style: drain everything <= deadline, then park the clock at
+  // the deadline (pushes behind the cursor must still interleave
+  // correctly).
+  void park(sim::Time deadline) {
+    while (!ref.empty() && ref.top().at <= deadline)
       ASSERT_NO_FATAL_FAILURE(pop_one());
-    } else if (op == 8) {
-      // run_until-style: drain everything <= deadline, then park the
-      // clock at the deadline (pushes behind the cursor must still
-      // interleave correctly).
-      const sim::Time deadline = now + rng.uniform(1u << 22);
-      while (!ref.empty() && ref.top().at <= deadline)
-        ASSERT_NO_FATAL_FAILURE(pop_one());
-      now = std::max(now, deadline);
-    } else {
-      for (int k = 0; k < 32 && !ref.empty(); ++k)
-        ASSERT_NO_FATAL_FAILURE(pop_one());
-    }
+    now = std::max(now, deadline);
+  }
+  void drain(int max_pops) {
+    for (int k = 0; k < max_pops && !ref.empty(); ++k)
+      ASSERT_NO_FATAL_FAILURE(pop_one());
+  }
+  void expect_same_size() const {
     ASSERT_EQ(q.size(), ref.size());
     ASSERT_EQ(q.empty(), ref.empty());
   }
-  while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(pop_one());
-  EXPECT_TRUE(q.empty());
+
+  sim::Rng rng;
+  sim::EventQueue q;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> ref;
+  sim::Time now = 0;
+  std::uint64_t seq = 0;
+};
+
+// 2^13 ps per calendar bucket (EventQueue::kSlotShift); a burst is more
+// than three times the 16 events a bucket holds, so it spills.
+constexpr sim::Time kBucketPs = 1u << 13;
+constexpr int kBurst = 64;
+
+}  // namespace
+
+class EventQueueDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventQueueDifferential, MatchesReferenceHeapOrder) {
+  QueueHarness h(static_cast<std::uint64_t>(GetParam()));
+  for (int step = 0; step < 30000; ++step) {
+    const auto op = h.rng.uniform(10);
+    if (op < 5 || h.ref.empty()) {
+      h.push_random();
+    } else if (op < 8) {
+      ASSERT_NO_FATAL_FAILURE(h.pop_one());
+    } else if (op == 8) {
+      ASSERT_NO_FATAL_FAILURE(h.park(h.now + h.rng.uniform(1u << 22)));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(h.drain(32));
+    }
+    ASSERT_NO_FATAL_FAILURE(h.expect_same_size());
+  }
+  ASSERT_NO_FATAL_FAILURE(h.drain(1 << 30));
+  EXPECT_TRUE(h.q.empty());
+}
+
+// Bursts far larger than a bucket into one future bucket and into the
+// cursor bucket (the spill path), mixed with the random traffic above,
+// and a clear() mid-run after which the queue must keep matching.
+TEST_P(EventQueueDifferential, BurstsSpillAndClearMidRun) {
+  QueueHarness h(static_cast<std::uint64_t>(GetParam()) + 1000);
+  for (int step = 0; step < 8000; ++step) {
+    const auto op = h.rng.uniform(12);
+    if (step == 4000) {
+      h.q.clear();
+      h.ref = {};
+    } else if (op < 4 || h.ref.empty()) {
+      h.push_random();
+    } else if (op < 7) {
+      ASSERT_NO_FATAL_FAILURE(h.pop_one());
+    } else if (op == 7) {
+      // One future bucket, 1..200 buckets past the clock's.
+      const sim::Time base =
+          ((h.now / kBucketPs) + 1 + h.rng.uniform(200)) * kBucketPs;
+      for (int k = 0; k < kBurst; ++k)
+        h.push(base + h.rng.uniform(kBucketPs));
+    } else if (op == 8) {
+      // The clock's own bucket, at and after now.
+      const sim::Time end = (h.now / kBucketPs + 1) * kBucketPs;
+      for (int k = 0; k < kBurst; ++k)
+        h.push(h.now + h.rng.uniform(end - h.now));
+    } else if (op == 9) {
+      ASSERT_NO_FATAL_FAILURE(h.park(h.now + h.rng.uniform(1u << 22)));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(h.drain(1 + static_cast<int>(
+                                             h.rng.uniform(2 * kBurst))));
+    }
+    ASSERT_NO_FATAL_FAILURE(h.expect_same_size());
+  }
+  ASSERT_NO_FATAL_FAILURE(h.drain(1 << 30));
+  EXPECT_TRUE(h.q.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential, ::testing::Range(0, 10));
