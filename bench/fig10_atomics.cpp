@@ -54,25 +54,25 @@ double remote_lock_mops(std::uint32_t threads, bool backoff) {
   wl::Rig rig;
   verbs::Buffer lockmem(4096);
   auto* mr = rig.ctx[0]->register_buffer(lockmem, 1);
-  std::vector<std::unique_ptr<remem::RemoteSpinlock>> locks;
+  std::vector<std::unique_ptr<remem::RemoteLockClient>> locks;
   std::uint64_t acq = 0;
   sim::Time end = 0;
   for (std::uint32_t t = 0; t < threads; ++t) {
     auto* qp = rig.connect(1 + t % 7, 0).local;
-    locks.push_back(std::make_unique<remem::RemoteSpinlock>(
-        *qp, mr->addr, mr->key,
-        backoff ? remem::BackoffPolicy::exponential()
-                : remem::BackoffPolicy::none()));
-    auto worker = [](wl::Rig& r, remem::RemoteSpinlock& l, std::uint64_t& a,
+    locks.push_back(std::make_unique<remem::RemoteLockClient>(
+        *qp, backoff ? remem::BackoffPolicy::exponential()
+                     : remem::BackoffPolicy::none()));
+    auto worker = [](wl::Rig& r, remem::RemoteLockClient& l,
+                     const verbs::MemoryRegion& m, std::uint64_t& a,
                      sim::Time& e) -> sim::Task {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        co_await l.lock();
+        co_await l.lock(m.addr, m.key);
         ++a;
-        co_await l.unlock();
+        co_await l.unlock(m.addr, m.key);
       }
       e = std::max(e, r.eng.now());
     };
-    rig.eng.spawn(worker(rig, *locks.back(), acq, end));
+    rig.eng.spawn(worker(rig, *locks.back(), *mr, acq, end));
   }
   rig.eng.run();
   bench::absorb(rig.cluster);

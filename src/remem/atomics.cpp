@@ -6,75 +6,73 @@
 
 namespace rdmasem::remem {
 
-RemoteSpinlock::RemoteSpinlock(verbs::QueuePair& qp, std::uint64_t remote_addr,
-                               std::uint32_t rkey, BackoffPolicy backoff)
-    : qp_(qp), remote_addr_(remote_addr), rkey_(rkey), backoff_(backoff),
-      scratch_(64) {
+WordClient::WordClient(verbs::QueuePair& qp) : qp_(qp), scratch_(64) {
   scratch_mr_ = qp_.context().register_buffer(
       scratch_, qp_.context().machine().port_socket(qp_.config().port));
 }
 
-sim::TaskT<Outcome<std::uint32_t>> RemoteSpinlock::lock() {
-  std::uint32_t attempts = 0;
-  for (;;) {
-    verbs::WorkRequest wr;
-    wr.opcode = verbs::Opcode::kCompSwap;
-    wr.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-    wr.remote_addr = remote_addr_;
-    wr.rkey = rkey_;
-    wr.compare = 0;
-    wr.swap_or_add = 1;
-    ++attempts;
-    ++cas_attempts_;
-    obs::Hub& hub = qp_.context().cluster().obs();
-    hub.cas_attempts.inc();
-    const auto c = co_await qp_.execute(std::move(wr));
-    if (!c.ok()) co_return c.status;
-    if (c.atomic_old == 0) {
-      ++acquisitions_;
-      co_return attempts;
-    }
-    hub.cas_failures.inc();  // lock was held: the CAS lost the race
-    const auto d = backoff_.delay_for(attempts);
-    if (d) co_await sim::delay(qp_.context().engine(), d);
-  }
+sim::TaskT<verbs::Completion> WordClient::execute(
+    verbs::Opcode op, std::size_t slot, std::uint32_t len, std::uint64_t raddr,
+    std::uint32_t rkey, std::uint64_t compare, std::uint64_t swap_or_add) {
+  verbs::WorkRequest wr;
+  wr.opcode = op;
+  wr.sg_list = {{scratch_mr_->addr + slot, len, scratch_mr_->key}};
+  wr.remote_addr = raddr;
+  wr.rkey = rkey;
+  wr.compare = compare;
+  wr.swap_or_add = swap_or_add;
+  return qp_.execute(std::move(wr));
 }
 
-sim::TaskT<verbs::Status> RemoteSpinlock::unlock() {
-  // Release: plain 8-byte RDMA write of 0 (store-release is enough; RC
-  // ordering makes it visible after the critical section's writes).
-  *scratch_.as<std::uint64_t>(8) = 0;
-  verbs::WorkRequest wr;
-  wr.opcode = verbs::Opcode::kWrite;
-  wr.sg_list = {{scratch_mr_->addr + 8, 8, scratch_mr_->key}};
-  wr.remote_addr = remote_addr_;
-  wr.rkey = rkey_;
-  const auto c = co_await qp_.execute(std::move(wr));
-  co_return c.status;
+sim::TaskT<verbs::Completion> WordClient::read(std::uint64_t raddr,
+                                               std::uint32_t rkey) {
+  return execute(verbs::Opcode::kRead, kRead, 8, raddr, rkey);
+}
+
+sim::TaskT<verbs::Completion> WordClient::write(std::uint64_t raddr,
+                                                std::uint32_t rkey,
+                                                std::uint64_t v) {
+  *scratch_.as<std::uint64_t>(kWord) = v;
+  return execute(verbs::Opcode::kWrite, kWord, 8, raddr, rkey);
+}
+
+sim::TaskT<verbs::Completion> WordClient::write_pair(std::uint64_t raddr,
+                                                     std::uint32_t rkey,
+                                                     std::uint64_t first,
+                                                     std::uint64_t second) {
+  auto* stage = scratch_.as<std::uint64_t>(kQnode);
+  stage[0] = first;
+  stage[1] = second;
+  return execute(verbs::Opcode::kWrite, kQnode, 16, raddr, rkey);
+}
+
+sim::TaskT<verbs::Completion> WordClient::cas(std::uint64_t raddr,
+                                              std::uint32_t rkey,
+                                              std::uint64_t compare,
+                                              std::uint64_t swap) {
+  return execute(verbs::Opcode::kCompSwap, kResult, 8, raddr, rkey, compare,
+                 swap);
+}
+
+sim::TaskT<verbs::Completion> WordClient::faa(std::uint64_t raddr,
+                                              std::uint32_t rkey,
+                                              std::uint64_t delta) {
+  return execute(verbs::Opcode::kFetchAdd, kResult, 8, raddr, rkey, 0, delta);
 }
 
 RemoteLockClient::RemoteLockClient(verbs::QueuePair& qp, BackoffPolicy backoff)
-    : qp_(qp), backoff_(backoff), scratch_(64) {
-  scratch_mr_ = qp_.context().register_buffer(
-      scratch_, qp_.context().machine().port_socket(qp_.config().port));
-}
+    : words_(qp), backoff_(backoff) {}
 
 sim::TaskT<Outcome<std::uint32_t>> RemoteLockClient::lock(
     std::uint64_t remote_addr, std::uint32_t rkey) {
+  verbs::Context& ctx = words_.qp().context();
+  obs::Hub& hub = ctx.cluster().obs();
   std::uint32_t attempts = 0;
   for (;;) {
-    verbs::WorkRequest wr;
-    wr.opcode = verbs::Opcode::kCompSwap;
-    wr.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-    wr.remote_addr = remote_addr;
-    wr.rkey = rkey;
-    wr.compare = 0;
-    wr.swap_or_add = 1;
     ++attempts;
     ++cas_attempts_;
-    obs::Hub& hub = qp_.context().cluster().obs();
     hub.cas_attempts.inc();
-    const auto c = co_await qp_.execute(std::move(wr));
+    const auto c = co_await words_.cas(remote_addr, rkey, 0, 1);
     if (!c.ok()) co_return c.status;
     if (c.atomic_old == 0) {
       ++acquisitions_;
@@ -82,37 +80,23 @@ sim::TaskT<Outcome<std::uint32_t>> RemoteLockClient::lock(
     }
     hub.cas_failures.inc();  // lock was held: the CAS lost the race
     const auto d = backoff_.delay_for(attempts);
-    if (d) co_await sim::delay(qp_.context().engine(), d);
+    if (d) co_await sim::delay(ctx.engine(), d);
   }
 }
 
 sim::TaskT<verbs::Status> RemoteLockClient::unlock(std::uint64_t remote_addr,
                                                    std::uint32_t rkey) {
-  *scratch_.as<std::uint64_t>(8) = 0;
-  verbs::WorkRequest wr;
-  wr.opcode = verbs::Opcode::kWrite;
-  wr.sg_list = {{scratch_mr_->addr + 8, 8, scratch_mr_->key}};
-  wr.remote_addr = remote_addr;
-  wr.rkey = rkey;
-  const auto c = co_await qp_.execute(std::move(wr));
-  co_return c.status;
+  // Release: plain 8-byte RDMA write of 0 (store-release is enough; RC
+  // ordering makes it visible after the critical section's writes).
+  co_return (co_await words_.write(remote_addr, rkey, 0)).status;
 }
 
 RemoteSequencer::RemoteSequencer(verbs::QueuePair& qp,
                                  std::uint64_t remote_addr, std::uint32_t rkey)
-    : qp_(qp), remote_addr_(remote_addr), rkey_(rkey), scratch_(64) {
-  scratch_mr_ = qp_.context().register_buffer(
-      scratch_, qp_.context().machine().port_socket(qp_.config().port));
-}
+    : words_(qp), remote_addr_(remote_addr), rkey_(rkey) {}
 
 sim::TaskT<Outcome<std::uint64_t>> RemoteSequencer::next(std::uint64_t delta) {
-  verbs::WorkRequest wr;
-  wr.opcode = verbs::Opcode::kFetchAdd;
-  wr.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-  wr.remote_addr = remote_addr_;
-  wr.rkey = rkey_;
-  wr.swap_or_add = delta;
-  const auto c = co_await qp_.execute(std::move(wr));
+  const auto c = co_await words_.faa(remote_addr_, rkey_, delta);
   if (!c.ok()) co_return c.status;
   co_return c.atomic_old;
 }

@@ -32,41 +32,71 @@ struct BackoffPolicy {
   }
 };
 
-// RemoteSpinlock — a spinlock in remote memory driven by RDMA
-// compare-and-swap. lock() spins with CAS(0 -> 1); unlock() writes 0.
-// One instance per *client* (it owns a private scratch MR for the CAS
-// result); many instances may target the same remote word.
-class RemoteSpinlock {
+// WordClient — one client's path to 8-byte words in remote memory: the
+// READ, WRITE, CAS and FAA that the remote locks, leases and sequencers
+// are built from. It owns the client's one 64 B scratch line, registered
+// on the socket of the QP's port. Each op builds its WR and returns
+// qp.execute()'s task: the ops are plain functions, not coroutines, so
+// they cost no frame of their own.
+//
+// Scratch map, one slot per op kind:
+//   [0, 8)    atomic result (cas / faa)
+//   [8, 24)   qnode staging (write_pair)
+//   [32, 40)  READ landing (read_value)
+//   [40, 48)  word staging (write)
+// The staging slots must stay apart from the result slot: a release
+// write's payload is read at its remote landing, and a CAS issued on the
+// same client meanwhile (the hashtable's async flushes overlap a lock
+// with an unlock) lands its old value into the result slot. Ops of one
+// kind share their slot, so writes in flight at once on one client must
+// stage the same value (lock releases all write 0).
+class WordClient {
  public:
-  RemoteSpinlock(verbs::QueuePair& qp, std::uint64_t remote_addr,
-                 std::uint32_t rkey, BackoffPolicy backoff = {});
+  explicit WordClient(verbs::QueuePair& qp);
 
-  // Acquires the lock; returns the number of CAS attempts used, or the
-  // failing verbs status once the QP dies (faults).
-  sim::TaskT<Outcome<std::uint32_t>> lock();
-  sim::TaskT<verbs::Status> unlock();
+  verbs::QueuePair& qp() const { return qp_; }
 
-  std::uint64_t acquisitions() const { return acquisitions_; }
-  std::uint64_t cas_attempts() const { return cas_attempts_; }
+  sim::TaskT<verbs::Completion> read(std::uint64_t raddr, std::uint32_t rkey);
+  // The word the last completed read() landed.
+  std::uint64_t read_value() { return *scratch_.as<std::uint64_t>(kRead); }
+  sim::TaskT<verbs::Completion> write(std::uint64_t raddr, std::uint32_t rkey,
+                                      std::uint64_t v);
+  // Writes two adjacent words (an MCS qnode: next, locked) in one WR.
+  sim::TaskT<verbs::Completion> write_pair(std::uint64_t raddr,
+                                           std::uint32_t rkey,
+                                           std::uint64_t first,
+                                           std::uint64_t second);
+  sim::TaskT<verbs::Completion> cas(std::uint64_t raddr, std::uint32_t rkey,
+                                    std::uint64_t compare, std::uint64_t swap);
+  sim::TaskT<verbs::Completion> faa(std::uint64_t raddr, std::uint32_t rkey,
+                                    std::uint64_t delta);
 
  private:
+  // Byte offsets of the scratch map above.
+  static constexpr std::size_t kResult = 0, kQnode = 8, kRead = 32, kWord = 40;
+
+  sim::TaskT<verbs::Completion> execute(verbs::Opcode op, std::size_t slot,
+                                        std::uint32_t len, std::uint64_t raddr,
+                                        std::uint32_t rkey,
+                                        std::uint64_t compare = 0,
+                                        std::uint64_t swap_or_add = 0);
+
   verbs::QueuePair& qp_;
-  std::uint64_t remote_addr_;
-  std::uint32_t rkey_;
-  BackoffPolicy backoff_;
   verbs::Buffer scratch_;
   verbs::MemoryRegion* scratch_mr_;
-  std::uint64_t acquisitions_ = 0;
-  std::uint64_t cas_attempts_ = 0;
 };
 
-// RemoteLockClient — like RemoteSpinlock but for MANY lock words: one
-// scratch MR serves CAS/unlock against arbitrary remote addresses (e.g.
-// the per-block locks of the disaggregated hashtable's hot area).
+// RemoteLockClient — the paper's spinlock in remote memory driven by RDMA
+// compare-and-swap: lock() spins with CAS(0 -> 1), unlock() writes 0. One
+// instance per *client*; it serves any number of lock words (e.g. the
+// per-block locks of the disaggregated hashtable's hot area), and many
+// clients may target the same word.
 class RemoteLockClient {
  public:
   explicit RemoteLockClient(verbs::QueuePair& qp, BackoffPolicy backoff = {});
 
+  // Acquires the lock; returns the number of CAS attempts used, or the
+  // failing verbs status once the QP dies (faults).
   sim::TaskT<Outcome<std::uint32_t>> lock(std::uint64_t remote_addr,
                                           std::uint32_t rkey);
   sim::TaskT<verbs::Status> unlock(std::uint64_t remote_addr,
@@ -76,10 +106,8 @@ class RemoteLockClient {
   std::uint64_t cas_attempts() const { return cas_attempts_; }
 
  private:
-  verbs::QueuePair& qp_;
+  WordClient words_;
   BackoffPolicy backoff_;
-  verbs::Buffer scratch_;
-  verbs::MemoryRegion* scratch_mr_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t cas_attempts_ = 0;
 };
@@ -95,11 +123,9 @@ class RemoteSequencer {
   sim::TaskT<Outcome<std::uint64_t>> next(std::uint64_t delta = 1);
 
  private:
-  verbs::QueuePair& qp_;
+  WordClient words_;
   std::uint64_t remote_addr_;
   std::uint32_t rkey_;
-  verbs::Buffer scratch_;
-  verbs::MemoryRegion* scratch_mr_;
 };
 
 // LocalSpinlock — the GCC __sync_compare_and_swap baseline, timed by the

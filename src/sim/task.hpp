@@ -3,6 +3,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "sim/size_class_pool.hpp"
@@ -123,18 +124,29 @@ struct PromiseBase : DetachedNode {
   }
 };
 
+// Where co_return puts the result: the one part of a promise that
+// depends on T.
+template <typename T>
+struct PromiseValue : PromiseBase<T> {
+  T value{};
+  template <typename U>
+  void return_value(U&& v) { value = std::forward<U>(v); }
+};
+
+template <>
+struct PromiseValue<void> : PromiseBase<void> {
+  void return_void() noexcept {}
+};
+
 }  // namespace detail
 
 template <typename T>
 class [[nodiscard]] TaskT {
  public:
-  struct promise_type : detail::PromiseBase<T> {
-    T value{};
+  struct promise_type : detail::PromiseValue<T> {
     TaskT get_return_object() {
       return TaskT(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    template <typename U>
-    void return_value(U&& v) { value = std::forward<U>(v); }
   };
 
   TaskT() = default;
@@ -166,7 +178,7 @@ class [[nodiscard]] TaskT {
       T await_resume() {
         if (h.promise().exception)
           std::rethrow_exception(h.promise().exception);
-        return std::move(h.promise().value);
+        if constexpr (!std::is_void_v<T>) return std::move(h.promise().value);
       }
     };
     RDMASEM_CHECK_MSG(h_ != nullptr, "awaiting an empty task");
@@ -174,68 +186,6 @@ class [[nodiscard]] TaskT {
   }
 
   // Used by Engine::spawn: marks detached and releases ownership.
-  std::coroutine_handle<promise_type> release_detached(
-      DetachedRegistry& registry) {
-    RDMASEM_CHECK(h_ != nullptr);
-    h_.promise().detached = true;
-    registry.link(h_.promise(), h_);
-    return std::exchange(h_, nullptr);
-  }
-
- private:
-  void destroy() {
-    if (h_) {
-      h_.destroy();
-      h_ = nullptr;
-    }
-  }
-  std::coroutine_handle<promise_type> h_{};
-};
-
-template <>
-class [[nodiscard]] TaskT<void> {
- public:
-  struct promise_type : detail::PromiseBase<void> {
-    TaskT get_return_object() {
-      return TaskT(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() noexcept {}
-  };
-
-  TaskT() = default;
-  explicit TaskT(std::coroutine_handle<promise_type> h) : h_(h) {}
-  TaskT(TaskT&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  TaskT& operator=(TaskT&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      h_ = std::exchange(o.h_, nullptr);
-    }
-    return *this;
-  }
-  TaskT(const TaskT&) = delete;
-  TaskT& operator=(const TaskT&) = delete;
-  ~TaskT() { destroy(); }
-
-  bool valid() const { return h_ != nullptr; }
-  bool done() const { return h_ && h_.promise().finished; }
-
-  auto operator co_await() && {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
-        h.promise().continuation = cont;
-        return h;
-      }
-      void await_resume() {
-        if (h.promise().exception)
-          std::rethrow_exception(h.promise().exception);
-      }
-    };
-    RDMASEM_CHECK_MSG(h_ != nullptr, "awaiting an empty task");
-    return Awaiter{h_};
-  }
-
   std::coroutine_handle<promise_type> release_detached(
       DetachedRegistry& registry) {
     RDMASEM_CHECK(h_ != nullptr);

@@ -9,25 +9,17 @@ namespace rdmasem::sync {
 
 LeaseLock::LeaseLock(verbs::QueuePair& qp, std::uint64_t base_addr,
                      std::uint32_t rkey, Config cfg, Variant variant)
-    : qp_(qp), base_addr_(base_addr), rkey_(rkey), cfg_(cfg),
-      variant_(variant), scratch_(64) {
-  scratch_mr_ = qp_.context().register_buffer(
-      scratch_, qp_.context().machine().port_socket(qp_.config().port));
-}
+    : words_(qp), base_addr_(base_addr), rkey_(rkey), cfg_(cfg),
+      variant_(variant) {}
 
 sim::TaskT<remem::Outcome<std::uint64_t>> LeaseLock::acquire() {
-  obs::Hub& hub = qp_.context().cluster().obs();
-  sim::Engine& eng = qp_.context().engine();
+  obs::Hub& hub = words_.qp().context().cluster().obs();
+  sim::Engine& eng = words_.qp().context().engine();
   for (;;) {
     // Snapshot the lease word.
-    verbs::WorkRequest rd;
-    rd.opcode = verbs::Opcode::kRead;
-    rd.sg_list = {{scratch_mr_->addr + 32, 8, scratch_mr_->key}};
-    rd.remote_addr = base_addr_;
-    rd.rkey = rkey_;
-    const auto rc = co_await qp_.execute(std::move(rd));
+    const auto rc = co_await words_.read(base_addr_, rkey_);
     if (!rc.ok()) co_return rc.status;
-    const std::uint64_t w = *scratch_.as<std::uint64_t>(32);
+    const std::uint64_t w = words_.read_value();
     const std::uint64_t cur_epoch = w >> 32;
     const std::uint32_t expiry_us = static_cast<std::uint32_t>(w);
     const std::uint32_t now_us = to_expiry_us(eng.now());
@@ -46,14 +38,7 @@ sim::TaskT<remem::Outcome<std::uint64_t>> LeaseLock::acquire() {
         to_expiry_us(eng.now() + cfg_.duration) + 1;
     const std::uint64_t new_w = ((cur_epoch + 1) << 32) | new_expiry;
     hub.cas_attempts.inc();
-    verbs::WorkRequest cas;
-    cas.opcode = verbs::Opcode::kCompSwap;
-    cas.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-    cas.remote_addr = base_addr_;
-    cas.rkey = rkey_;
-    cas.compare = w;
-    cas.swap_or_add = new_w;
-    const auto c = co_await qp_.execute(std::move(cas));
+    const auto c = co_await words_.cas(base_addr_, rkey_, w, new_w);
     if (!c.ok()) co_return c.status;
     if (c.atomic_old != w) {
       hub.cas_failures.inc();  // raced with another claimant
@@ -69,26 +54,20 @@ sim::TaskT<remem::Outcome<std::uint64_t>> LeaseLock::acquire() {
 
     // Install the guard epoch: from this completion on, every older
     // epoch's fence probe loses.
-    *scratch_.as<std::uint64_t>(40) = epoch_;
-    verbs::WorkRequest gw;
-    gw.opcode = verbs::Opcode::kWrite;
-    gw.sg_list = {{scratch_mr_->addr + 40, 8, scratch_mr_->key}};
-    gw.remote_addr = base_addr_ + 8;
-    gw.rkey = rkey_;
-    const auto g = co_await qp_.execute(std::move(gw));
+    const auto g = co_await words_.write(base_addr_ + 8, rkey_, epoch_);
     if (!g.ok()) co_return g.status;
     co_return epoch_;
   }
 }
 
 sim::TaskT<remem::Outcome<bool>> LeaseLock::fence() {
-  obs::Hub& hub = qp_.context().cluster().obs();
+  obs::Hub& hub = words_.qp().context().cluster().obs();
   if (variant_ == Variant::kStaleLease) {
     // BROKEN: no expiry check, no guard probe — the holder keeps its
     // write license forever, straight through the next epoch's term.
     co_return true;
   }
-  sim::Engine& eng = qp_.context().engine();
+  sim::Engine& eng = words_.qp().context().engine();
   if (eng.now() + cfg_.margin >= deadline_) {
     ++fence_aborts_;
     hub.lease_fence_aborts.inc();
@@ -96,14 +75,7 @@ sim::TaskT<remem::Outcome<bool>> LeaseLock::fence() {
   }
   // Guard probe: CAS(guard: my epoch -> my epoch). Pure read-for-ordering;
   // its completion is the fence the following write burst rides on.
-  verbs::WorkRequest cas;
-  cas.opcode = verbs::Opcode::kCompSwap;
-  cas.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-  cas.remote_addr = base_addr_ + 8;
-  cas.rkey = rkey_;
-  cas.compare = epoch_;
-  cas.swap_or_add = epoch_;
-  const auto c = co_await qp_.execute(std::move(cas));
+  const auto c = co_await words_.cas(base_addr_ + 8, rkey_, epoch_, epoch_);
   if (!c.ok()) co_return c.status;
   if (c.atomic_old != epoch_) {
     ++fence_aborts_;
@@ -115,14 +87,8 @@ sim::TaskT<remem::Outcome<bool>> LeaseLock::fence() {
 
 sim::TaskT<verbs::Status> LeaseLock::release() {
   RDMASEM_CHECK_MSG(epoch_ != 0, "release before any acquire");
-  verbs::WorkRequest cas;
-  cas.opcode = verbs::Opcode::kCompSwap;
-  cas.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-  cas.remote_addr = base_addr_;
-  cas.rkey = rkey_;
-  cas.compare = word_;
-  cas.swap_or_add = epoch_ << 32;  // expiry 0: free, epoch preserved
-  const auto c = co_await qp_.execute(std::move(cas));
+  // Expiry 0: free, epoch preserved.
+  const auto c = co_await words_.cas(base_addr_, rkey_, word_, epoch_ << 32);
   deadline_ = 0;
   co_return c.status;  // a lost CAS means it was taken over — fine
 }

@@ -2,11 +2,11 @@
 
 #include <cstdint>
 
+#include "remem/atomics.hpp"
 #include "remem/outcome.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sync/variant.hpp"
-#include "verbs/buffer.hpp"
 #include "verbs/qp.hpp"
 
 namespace rdmasem::sync {
@@ -87,13 +87,11 @@ class LeaseLock {
     return static_cast<std::uint32_t>(t / sim::kMicrosecond);
   }
 
-  verbs::QueuePair& qp_;
+  remem::WordClient words_;
   std::uint64_t base_addr_;
   std::uint32_t rkey_;
   Config cfg_;
   Variant variant_;
-  verbs::Buffer scratch_;
-  verbs::MemoryRegion* scratch_mr_;
   std::uint64_t epoch_ = 0;
   std::uint64_t word_ = 0;  // lease word as last written by us
   sim::Time deadline_ = 0;

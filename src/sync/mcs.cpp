@@ -7,17 +7,13 @@
 
 namespace rdmasem::sync {
 
-// Scratch map (one cache line): [0] atomic result, [1] qnode staging
-// (next, locked), [3] single-word write staging, [4] READ landing.
 McsLock::McsLock(verbs::QueuePair& qp, std::uint64_t base_addr,
                  std::uint32_t rkey, Layout layout, std::uint32_t client_id,
                  remem::BackoffPolicy poll_backoff)
-    : qp_(qp), base_addr_(base_addr), rkey_(rkey), layout_(layout),
-      id_(client_id), poll_backoff_(poll_backoff), scratch_(64) {
+    : words_(qp), base_addr_(base_addr), rkey_(rkey), layout_(layout),
+      id_(client_id), poll_backoff_(poll_backoff) {
   RDMASEM_CHECK_MSG(client_id >= 1 && client_id <= layout.max_clients,
                     "MCS client id out of layout range");
-  scratch_mr_ = qp_.context().register_buffer(
-      scratch_, qp_.context().machine().port_socket(qp_.config().port));
 }
 
 void McsLock::retarget(std::uint64_t base_addr) {
@@ -25,48 +21,15 @@ void McsLock::retarget(std::uint64_t base_addr) {
   base_addr_ = base_addr;
 }
 
-sim::TaskT<remem::Outcome<std::uint64_t>> McsLock::read_u64(
-    std::uint64_t raddr) {
-  verbs::WorkRequest wr;
-  wr.opcode = verbs::Opcode::kRead;
-  wr.sg_list = {{scratch_mr_->addr + 32, 8, scratch_mr_->key}};
-  wr.remote_addr = raddr;
-  wr.rkey = rkey_;
-  const auto c = co_await qp_.execute(std::move(wr));
-  if (!c.ok()) co_return c.status;
-  co_return *scratch_.as<std::uint64_t>(32);
-}
-
-sim::TaskT<verbs::Status> McsLock::write_u64(std::uint64_t raddr,
-                                             std::uint64_t v,
-                                             std::size_t slot) {
-  *scratch_.as<std::uint64_t>(slot) = v;
-  verbs::WorkRequest wr;
-  wr.opcode = verbs::Opcode::kWrite;
-  wr.sg_list = {{scratch_mr_->addr + slot, 8, scratch_mr_->key}};
-  wr.remote_addr = raddr;
-  wr.rkey = rkey_;
-  const auto c = co_await qp_.execute(std::move(wr));
-  co_return c.status;
-}
-
 sim::TaskT<remem::Outcome<std::uint32_t>> McsLock::acquire() {
   RDMASEM_CHECK_MSG(!held_, "MCS acquire while held");
-  obs::Hub& hub = qp_.context().cluster().obs();
+  obs::Hub& hub = words_.qp().context().cluster().obs();
   const std::uint64_t my_qnode = base_addr_ + layout_.qnode_off(id_);
 
   // 1. Reset my qnode: next = kNil, locked = 1. Awaited — it must be
   // consistent before anyone can find me through the tail.
   {
-    auto* stage = scratch_.as<std::uint64_t>(8);
-    stage[0] = kNil;
-    stage[1] = 1;
-    verbs::WorkRequest wr;
-    wr.opcode = verbs::Opcode::kWrite;
-    wr.sg_list = {{scratch_mr_->addr + 8, 16, scratch_mr_->key}};
-    wr.remote_addr = my_qnode;
-    wr.rkey = rkey_;
-    const auto c = co_await qp_.execute(std::move(wr));
+    const auto c = co_await words_.write_pair(my_qnode, rkey_, kNil, 1);
     if (!c.ok()) co_return c.status;
   }
 
@@ -79,14 +42,7 @@ sim::TaskT<remem::Outcome<std::uint32_t>> McsLock::acquire() {
   for (;;) {
     ++attempts;
     hub.cas_attempts.inc();
-    verbs::WorkRequest wr;
-    wr.opcode = verbs::Opcode::kCompSwap;
-    wr.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-    wr.remote_addr = base_addr_;
-    wr.rkey = rkey_;
-    wr.compare = expected;
-    wr.swap_or_add = id_;
-    const auto c = co_await qp_.execute(std::move(wr));
+    const auto c = co_await words_.cas(base_addr_, rkey_, expected, id_);
     if (!c.ok()) co_return c.status;
     RDMASEM_CHECK_MSG(c.atomic_old != verbs::kPoisonedAtomicOld,
                       "poisoned atomic_old on a successful completion");
@@ -106,17 +62,17 @@ sim::TaskT<remem::Outcome<std::uint32_t>> McsLock::acquire() {
   // 3. Link into the predecessor, then spin-READ my own locked flag until
   // the handoff write lands.
   ++queued_acquisitions_;
-  const auto st = co_await write_u64(
-      base_addr_ + layout_.qnode_off(prev), id_, 40);
-  if (st != verbs::Status::kSuccess) co_return st;
+  const auto link =
+      co_await words_.write(base_addr_ + layout_.qnode_off(prev), rkey_, id_);
+  if (!link.ok()) co_return link.status;
   std::uint32_t polls = 0;
   for (;;) {
-    const auto locked = co_await read_u64(my_qnode + 8);
-    if (!locked.ok()) co_return locked.status();
-    if (locked.value() == 0) break;
+    const auto c = co_await words_.read(my_qnode + 8, rkey_);
+    if (!c.ok()) co_return c.status;
+    if (words_.read_value() == 0) break;
     ++polls;
     const auto d = poll_backoff_.delay_for(polls);
-    if (d) co_await sim::delay(qp_.context().engine(), d);
+    if (d) co_await sim::delay(words_.qp().context().engine(), d);
   }
   held_ = true;
   ++acquisitions_;
@@ -127,24 +83,17 @@ sim::TaskT<remem::Outcome<std::uint32_t>> McsLock::acquire() {
 
 sim::TaskT<verbs::Status> McsLock::release() {
   RDMASEM_CHECK_MSG(held_, "MCS release while not held");
-  obs::Hub& hub = qp_.context().cluster().obs();
+  obs::Hub& hub = words_.qp().context().cluster().obs();
   const std::uint64_t my_qnode = base_addr_ + layout_.qnode_off(id_);
 
-  const auto next = co_await read_u64(my_qnode);
-  if (!next.ok()) co_return next.status();
-  std::uint64_t successor = next.value();
+  const auto next = co_await words_.read(my_qnode, rkey_);
+  if (!next.ok()) co_return next.status;
+  std::uint64_t successor = words_.read_value();
 
   if (successor == kNil) {
     // Nobody visibly queued: try to swing the tail back to free.
     hub.cas_attempts.inc();
-    verbs::WorkRequest wr;
-    wr.opcode = verbs::Opcode::kCompSwap;
-    wr.sg_list = {{scratch_mr_->addr, 8, scratch_mr_->key}};
-    wr.remote_addr = base_addr_;
-    wr.rkey = rkey_;
-    wr.compare = id_;
-    wr.swap_or_add = kNil;
-    const auto c = co_await qp_.execute(std::move(wr));
+    const auto c = co_await words_.cas(base_addr_, rkey_, id_, kNil);
     if (!c.ok()) co_return c.status;
     if (c.atomic_old == id_) {
       held_ = false;
@@ -155,22 +104,22 @@ sim::TaskT<verbs::Status> McsLock::release() {
     // pointer until its enqueue write lands.
     std::uint32_t polls = 0;
     for (;;) {
-      const auto n = co_await read_u64(my_qnode);
-      if (!n.ok()) co_return n.status();
-      if (n.value() != kNil) {
-        successor = n.value();
+      const auto n = co_await words_.read(my_qnode, rkey_);
+      if (!n.ok()) co_return n.status;
+      if (words_.read_value() != kNil) {
+        successor = words_.read_value();
         break;
       }
       ++polls;
       const auto d = poll_backoff_.delay_for(polls);
-      if (d) co_await sim::delay(qp_.context().engine(), d);
+      if (d) co_await sim::delay(words_.qp().context().engine(), d);
     }
   }
 
   // Direct handoff: clear the successor's locked flag.
-  const auto st = co_await write_u64(
-      base_addr_ + layout_.qnode_off(successor) + 8, 0, 40);
-  if (st != verbs::Status::kSuccess) co_return st;
+  const auto st = co_await words_.write(
+      base_addr_ + layout_.qnode_off(successor) + 8, rkey_, 0);
+  if (!st.ok()) co_return st.status;
   held_ = false;
   co_return verbs::Status::kSuccess;
 }

@@ -6,7 +6,6 @@
 #include "remem/outcome.hpp"
 #include "sim/task.hpp"
 #include "sync/variant.hpp"
-#include "verbs/buffer.hpp"
 #include "verbs/qp.hpp"
 
 namespace rdmasem::sync {
@@ -64,18 +63,12 @@ class McsLock {
   std::uint64_t queued_acquisitions() const { return queued_acquisitions_; }
 
  private:
-  sim::TaskT<remem::Outcome<std::uint64_t>> read_u64(std::uint64_t raddr);
-  sim::TaskT<verbs::Status> write_u64(std::uint64_t raddr, std::uint64_t v,
-                                      std::size_t slot);
-
-  verbs::QueuePair& qp_;
+  remem::WordClient words_;
   std::uint64_t base_addr_;
   std::uint32_t rkey_;
   Layout layout_;
   std::uint32_t id_;
   remem::BackoffPolicy poll_backoff_;
-  verbs::Buffer scratch_;
-  verbs::MemoryRegion* scratch_mr_;
   bool held_ = false;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t queued_acquisitions_ = 0;

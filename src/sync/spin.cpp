@@ -6,13 +6,13 @@
 namespace rdmasem::sync {
 
 sim::TaskT<remem::Outcome<std::uint32_t>> SpinLock::acquire() {
-  const auto r = co_await impl_.lock();
+  const auto r = co_await impl_.lock(remote_addr_, rkey_);
   if (r.ok()) qp_.context().cluster().obs().lock_acquires.inc();
   co_return r;
 }
 
 sim::TaskT<verbs::Status> SpinLock::release() {
-  co_return co_await impl_.unlock();
+  co_return co_await impl_.unlock(remote_addr_, rkey_);
 }
 
 sim::TaskT<verbs::Status> SpinLock::commit_and_release(
@@ -30,7 +30,7 @@ sim::TaskT<verbs::Status> SpinLock::commit_and_release(
       if (!c.ok()) co_return c.status;
     }
   }
-  co_return co_await impl_.unlock();
+  co_return co_await impl_.unlock(remote_addr_, rkey_);
 }
 
 }  // namespace rdmasem::sync

@@ -16,7 +16,7 @@ namespace rdmasem::sync {
 using Sequencer = remem::RemoteSequencer;
 
 // SpinLock — the paper's baseline CAS spinlock (§III-E,
-// remem::RemoteSpinlock) plus the one thing the baseline leaves implicit:
+// remem::RemoteLockClient) bound to one lock word, plus the one thing the baseline leaves implicit:
 // HOW the critical section's data writes are ordered against the release.
 //
 // commit_and_release() is that composition. Correct variant: every data
@@ -31,7 +31,8 @@ class SpinLock {
   SpinLock(verbs::QueuePair& qp, std::uint64_t remote_addr, std::uint32_t rkey,
            remem::BackoffPolicy backoff = {},
            Variant variant = Variant::kCorrect)
-      : qp_(qp), variant_(variant), impl_(qp, remote_addr, rkey, backoff) {}
+      : qp_(qp), variant_(variant), impl_(qp, backoff),
+        remote_addr_(remote_addr), rkey_(rkey) {}
 
   sim::TaskT<remem::Outcome<std::uint32_t>> acquire();
   sim::TaskT<verbs::Status> release();
@@ -47,7 +48,9 @@ class SpinLock {
  private:
   verbs::QueuePair& qp_;
   Variant variant_;
-  remem::RemoteSpinlock impl_;
+  remem::RemoteLockClient impl_;
+  std::uint64_t remote_addr_;
+  std::uint32_t rkey_;
 };
 
 }  // namespace rdmasem::sync

@@ -4,6 +4,7 @@
 #include "remem/atomics.hpp"
 #include "remem/rpc.hpp"
 #include "testbed.hpp"
+#include "util/sanitizer.hpp"
 
 namespace v = rdmasem::verbs;
 namespace sim = rdmasem::sim;
@@ -29,24 +30,24 @@ struct LockRig {
 
 }  // namespace
 
-TEST(RemoteSpinlock, MutualExclusionHolds) {
+TEST(RemoteLockClient, MutualExclusionHolds) {
   LockRig rig;
   int in_critical = 0, max_in_critical = 0, acquired = 0;
-  std::vector<std::unique_ptr<remem::RemoteSpinlock>> locks;
+  std::vector<std::unique_ptr<remem::RemoteLockClient>> locks;
   for (std::uint32_t t = 0; t < 4; ++t)
-    locks.push_back(std::make_unique<remem::RemoteSpinlock>(
-        *rig.client(1 + t % 3), rig.mr->addr, rig.mr->key));
+    locks.push_back(
+        std::make_unique<remem::RemoteLockClient>(*rig.client(1 + t % 3)));
   for (std::uint32_t t = 0; t < 4; ++t) {
-    auto worker = [](LockRig& r, remem::RemoteSpinlock& l, int& in, int& mx,
+    auto worker = [](LockRig& r, remem::RemoteLockClient& l, int& in, int& mx,
                      int& acq) -> sim::Task {
       for (int i = 0; i < 20; ++i) {
-        co_await l.lock();
+        co_await l.lock(r.mr->addr, r.mr->key);
         ++in;
         mx = std::max(mx, in);
         ++acq;
         co_await sim::delay(r.tb.eng, sim::ns(300));  // critical section
         --in;
-        co_await l.unlock();
+        co_await l.unlock(r.mr->addr, r.mr->key);
       }
     };
     rig.tb.eng.spawn(
@@ -58,19 +59,19 @@ TEST(RemoteSpinlock, MutualExclusionHolds) {
   EXPECT_EQ(*rig.lockmem.as<std::uint64_t>(), 0u);  // released at the end
 }
 
-TEST(RemoteSpinlock, BackoffReducesCasTraffic) {
+TEST(RemoteLockClient, BackoffReducesCasTraffic) {
   auto cas_per_acquisition = [](remem::BackoffPolicy bp) {
     LockRig rig;
-    std::vector<std::unique_ptr<remem::RemoteSpinlock>> locks;
+    std::vector<std::unique_ptr<remem::RemoteLockClient>> locks;
     for (std::uint32_t t = 0; t < 6; ++t)
-      locks.push_back(std::make_unique<remem::RemoteSpinlock>(
-          *rig.client(1 + t % 3), rig.mr->addr, rig.mr->key, bp));
+      locks.push_back(std::make_unique<remem::RemoteLockClient>(
+          *rig.client(1 + t % 3), bp));
     for (auto& l : locks) {
-      auto worker = [](LockRig& r, remem::RemoteSpinlock& lk) -> sim::Task {
+      auto worker = [](LockRig& r, remem::RemoteLockClient& lk) -> sim::Task {
         for (int i = 0; i < 15; ++i) {
-          co_await lk.lock();
+          co_await lk.lock(r.mr->addr, r.mr->key);
           co_await sim::delay(r.tb.eng, sim::ns(200));
-          co_await lk.unlock();
+          co_await lk.unlock(r.mr->addr, r.mr->key);
         }
       };
       rig.tb.eng.spawn(worker(rig, *l));
@@ -88,6 +89,118 @@ TEST(RemoteSpinlock, BackoffReducesCasTraffic) {
   const double backoff =
       cas_per_acquisition(remem::BackoffPolicy::exponential());
   EXPECT_LT(backoff, naive * 0.7);  // backoff kills wasted CAS slots
+}
+
+// One client, two lock words, as when the hashtable's async flushes
+// overlap a lock with an unlock on one client: each release of A is still
+// in flight (its payload is read from the client's scratch line only at
+// the remote landing) while the same client's CAS spins on B, held
+// elsewhere, and lands B's old value in the scratch line. Every release
+// must still write 0, and B is granted only once its holder lets go.
+TEST(RemoteLockClient, UnlockInFlightWhileCasOnAnotherWordLands) {
+  LockRig rig;
+  auto* word_a = rig.lockmem.as<std::uint64_t>(0);
+  auto* word_b = rig.lockmem.as<std::uint64_t>(64);
+  const std::uint64_t addr_a = rig.mr->addr, addr_b = rig.mr->addr + 64;
+  const std::uint32_t rkey = rig.mr->key;
+  *word_b = 1;  // held by another client until kRelease
+  remem::RemoteLockClient client(*rig.client(1));
+  constexpr int kRounds = 24;
+  constexpr sim::Time kRelease = sim::us(300);
+
+  int released_ok = 0;
+  sim::Time granted_b = 0;
+  auto flusher = [&]() -> sim::Task {
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_TRUE((co_await client.lock(addr_a, rkey)).ok());
+      co_await sim::delay(rig.tb.eng, sim::ns(97 * (i % 11)));
+      EXPECT_EQ(co_await client.unlock(addr_a, rkey), v::Status::kSuccess);
+      if (*word_a != 0) break;  // the release wrote a CAS result, not 0
+      ++released_ok;
+    }
+  };
+  auto locker = [&]() -> sim::Task {
+    EXPECT_TRUE((co_await client.lock(addr_b, rkey)).ok());
+    granted_b = rig.tb.eng.now();
+  };
+  auto holder = [&]() -> sim::Task {
+    co_await sim::delay(rig.tb.eng, kRelease);
+    *word_b = 0;
+  };
+  rig.tb.eng.spawn(locker());
+  rig.tb.eng.spawn(flusher());
+  rig.tb.eng.spawn(holder());
+  rig.tb.eng.run();
+
+  EXPECT_EQ(released_ok, kRounds);
+  EXPECT_EQ(*word_a, 0u);
+  EXPECT_EQ(*word_b, 1u);  // held by the client
+  EXPECT_GE(granted_b, kRelease);
+  EXPECT_EQ(client.acquisitions(), static_cast<std::uint64_t>(kRounds + 1));
+}
+
+// The WordClient ops are plain functions that return qp.execute()'s task,
+// so an op allocates exactly the frames of a bare execute of the same WR.
+TEST(WordClient, OpAllocatesOnlyTheFramesOfItsExecute) {
+#if RDMASEM_ASAN
+  GTEST_SKIP() << "under ASan FramePool passes frames straight to the "
+                  "allocator and counts none";
+#else
+  LockRig rig;
+  v::QueuePair* qp = rig.client(1);
+  remem::WordClient words(*qp);
+  v::Buffer local(64);
+  auto* lmr = rig.tb.ctx[1]->register_buffer(local, 1);
+  const std::uint64_t raddr = rig.mr->addr;
+  const std::uint32_t rkey = rig.mr->key;
+  constexpr int kOps = 40;
+
+  std::uint64_t word_frames = 0, bare_frames = 0;
+  auto task = [&]() -> sim::Task {
+    const auto allocated = [] {
+      const auto s = sim::FramePool::stats();
+      return s.reused + s.fresh + s.oversize;
+    };
+    // The five op kinds, through the client and as the same bare WR.
+    const auto word_op = [&](int i) {
+      switch (i % 5) {
+        case 0: return words.read(raddr, rkey);
+        case 1: return words.write(raddr, rkey, 0);
+        case 2: return words.write_pair(raddr + 8, rkey, 0, 0);
+        case 3: return words.cas(raddr, rkey, 0, 0);
+        default: return words.faa(raddr + 24, rkey, 1);
+      }
+    };
+    const auto bare_op = [&](int i) {
+      static constexpr v::Opcode kOp[] = {v::Opcode::kRead, v::Opcode::kWrite,
+                                          v::Opcode::kWrite,
+                                          v::Opcode::kCompSwap,
+                                          v::Opcode::kFetchAdd};
+      v::WorkRequest wr;
+      wr.opcode = kOp[i % 5];
+      wr.sg_list = {{lmr->addr, i % 5 == 2 ? 16u : 8u, lmr->key}};
+      wr.remote_addr = raddr + (i % 5 == 2 ? 8 : i % 5 == 4 ? 24 : 0);
+      wr.rkey = rkey;
+      wr.swap_or_add = i % 5 == 4 ? 1 : 0;
+      return qp->execute(std::move(wr));
+    };
+    for (int i = 0; i < kOps; ++i) {  // warm the pool's size classes
+      EXPECT_TRUE((co_await word_op(i)).ok());
+      EXPECT_TRUE((co_await bare_op(i)).ok());
+    }
+    std::uint64_t f0 = allocated();
+    for (int i = 0; i < kOps; ++i) EXPECT_TRUE((co_await word_op(i)).ok());
+    word_frames = allocated() - f0;
+    f0 = allocated();
+    for (int i = 0; i < kOps; ++i) EXPECT_TRUE((co_await bare_op(i)).ok());
+    bare_frames = allocated() - f0;
+  };
+  rig.tb.eng.spawn(task());
+  rig.tb.eng.run();
+
+  EXPECT_EQ(word_frames, bare_frames);
+  EXPECT_EQ(bare_frames, static_cast<std::uint64_t>(2 * kOps));
+#endif
 }
 
 TEST(RemoteSequencer, TicketsAreUniqueAndDense) {
@@ -166,7 +279,7 @@ TEST(RemoteAtomicsFault, FlushedCasCarriesThePoisonOldNotAStaleZero) {
   EXPECT_EQ(reacquired_old, 0u);
 }
 
-// End to end: a RemoteSpinlock whose CAS flushes while ANOTHER client
+// End to end: a RemoteLockClient whose CAS flushes while ANOTHER client
 // holds the word must report the failure — never a phantom acquisition —
 // and after reset + reconnect it acquires for real once the word frees.
 TEST(RemoteAtomicsFault, NoFalseAcquisitionAcrossResetAndReconnect) {
@@ -181,21 +294,21 @@ TEST(RemoteAtomicsFault, NoFalseAcquisitionAcrossResetAndReconnect) {
   v::Buffer lockmem(64);
   *lockmem.as<std::uint64_t>() = 1;  // held by someone else throughout
   auto* mr = tb.ctx[0]->register_buffer(lockmem, 1);
-  remem::RemoteSpinlock lock(*conn.local, mr->addr, mr->key);
+  remem::RemoteLockClient lock(*conn.local);
 
   bool faulted_ok = true;
   std::uint64_t acquired_after = 0;
   auto task = [&]() -> sim::Task {
-    const auto o = co_await lock.lock();
+    const auto o = co_await lock.lock(mr->addr, mr->key);
     faulted_ok = o.ok();  // must be false: flushed, not granted
     co_await sim::delay(tb.eng, sim::ms(3));
     *lockmem.as<std::uint64_t>() = 0;  // the holder releases
     conn.local->reset();
     conn.remote->reset();
     v::Context::connect(*conn.local, *conn.remote);
-    const auto o2 = co_await lock.lock();
+    const auto o2 = co_await lock.lock(mr->addr, mr->key);
     if (o2.ok()) acquired_after = lock.acquisitions();
-    co_await lock.unlock();
+    co_await lock.unlock(mr->addr, mr->key);
   };
   tb.eng.spawn_on(2, task());
   tb.eng.run();
