@@ -16,6 +16,7 @@
 // Workload sizes honor the RDMASEM_* environment knobs (README) so the
 // paper-scale runs are reproducible on bigger machines.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/engine_profile.hpp"
 #include "obs/json.hpp"
+#include "remem/batch.hpp"
 #include "util/env.hpp"
 #include "util/table.hpp"
 #include "wl/microbench.hpp"
@@ -243,6 +245,43 @@ struct MicroRig {
 // Standard env-scaled op count (per client) for microbench sweeps.
 inline std::uint64_t micro_ops(std::uint64_t def = 8000) {
   return util::env_u64("RDMASEM_MICRO_OPS", def);
+}
+
+// The batch figures' closed loop (Figs. 3-5): `threads` clients on one
+// rig, each with its own QP and Batcher, flush `reps` WRITEs of `batch`
+// pieces of `size` bytes (4 KiB apart locally; SP stages size * batch)
+// from machine 0 to 1. Returns the per-thread MOPS.
+inline double batcher_mops(remem::BatchMode mode, std::uint32_t size,
+                           std::uint32_t batch, std::uint32_t threads,
+                           std::uint64_t reps) {
+  wl::Rig rig;
+  verbs::Buffer src(1 << 18), dst(1 << 18);
+  auto* lmr = rig.ctx[0]->register_buffer(src, 1);
+  auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
+  std::vector<remem::Batcher> batchers;
+  batchers.reserve(threads);
+  sim::Time end = 0;
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    batchers.emplace_back(*rig.connect(0, 1).local, mode,
+                          static_cast<std::size_t>(size) * batch);
+    auto loop = [](wl::Rig& r, remem::Batcher& b, verbs::MemoryRegion* l,
+                   verbs::MemoryRegion* rm, std::uint32_t sz, std::uint32_t n,
+                   std::uint32_t tid, std::uint64_t k,
+                   sim::Time& e) -> sim::Task {
+      std::vector<remem::BatchItem> items;
+      for (std::uint64_t i = tid * n; i < (tid + 1) * n; ++i)
+        items.push_back({{l->addr + i * 4096, sz, l->key}, rm->addr + i * sz});
+      for (std::uint64_t i = 0; i < k; ++i)
+        (void)co_await b.flush(verbs::Opcode::kWrite, items,
+                               rm->addr + tid * 4096, rm->key);
+      e = std::max(e, r.eng.now());
+    };
+    rig.eng.spawn(
+        loop(rig, batchers.back(), lmr, rmr, size, batch, t, reps, end));
+  }
+  rig.eng.run();
+  return static_cast<double>(batch) * static_cast<double>(reps) * threads /
+         sim::to_us(end) / threads;
 }
 
 // Table cell for the errors column of a paper-style table.

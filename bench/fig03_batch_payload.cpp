@@ -4,11 +4,8 @@
 // Paper shape: flat below ~128 B; SGL/SP decay linearly as payload grows;
 // Doorbell stays flat (and low). Local = batched local memory writes.
 
-#include <memory>
-
 #include "bench_common.hpp"
 #include "hw/dram.hpp"
-#include "remem/batch.hpp"
 
 namespace {
 
@@ -18,31 +15,6 @@ using bench::FigureCollector;
 FigureCollector collector(
     "Fig. 3  Batch strategies vs payload size (MOPS, batch 4 and 16)",
     {"size", "batch", "Doorbell", "SGL", "SP", "Local"});
-
-// Closed-loop flush loop over scattered pieces of `size` bytes.
-double batcher_mops(remem::Batcher& b, wl::Rig& rig,
-                    verbs::MemoryRegion* lmr, verbs::MemoryRegion* rmr,
-                    std::uint32_t size, std::uint32_t batch,
-                    std::uint64_t reps) {
-  double out = 0;
-  auto task = [](wl::Rig& r, remem::Batcher& bb, verbs::MemoryRegion* l,
-                 verbs::MemoryRegion* rm, std::uint32_t sz, std::uint32_t n,
-                 std::uint64_t k, double& res) -> sim::Task {
-    std::vector<remem::BatchItem> items;
-    const std::uint64_t stride = 4096;
-    for (std::uint32_t i = 0; i < n; ++i)
-      items.push_back({{l->addr + i * stride, sz, l->key},
-                       rm->addr + i * static_cast<std::uint64_t>(sz)});
-    const sim::Time start = r.eng.now();
-    for (std::uint64_t i = 0; i < k; ++i)
-      (void)co_await bb.flush_write(items, rm->addr, rm->key);
-    res = static_cast<double>(n) * static_cast<double>(k) /
-          sim::to_us(r.eng.now() - start);
-  };
-  rig.eng.spawn(task(rig, b, lmr, rmr, size, batch, reps, out));
-  rig.eng.run();
-  return out;
-}
 
 // Local baseline: batched local memory writes (writev-style) through the
 // DRAM model.
@@ -68,22 +40,12 @@ double local_mops(std::uint32_t size, std::uint32_t batch,
 // local baseline.
 void run_point(std::uint32_t size, std::uint32_t batch) {
   const std::uint64_t reps = bench::micro_ops(2000) / batch + 1;
-  auto remote = [&](auto make_batcher) {
-    wl::Rig rig;
-    verbs::Buffer src(1 << 18), dst(1 << 18);
-    auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-    auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-    auto conn = rig.connect(0, 1);
-    auto b = make_batcher(*conn.local);
-    return batcher_mops(b, rig, lmr, rmr, size, batch, reps);
+  auto remote = [&](remem::BatchMode mode) {
+    return bench::batcher_mops(mode, size, batch, 1, reps);
   };
-  const double db = remote(
-      [](verbs::QueuePair& qp) { return remem::DoorbellBatcher(qp); });
-  const double sgl =
-      remote([](verbs::QueuePair& qp) { return remem::SglBatcher(qp); });
-  const double sp = remote([&](verbs::QueuePair& qp) {
-    return remem::SpBatcher(qp, static_cast<std::size_t>(size) * batch);
-  });
+  const double db = remote(remem::BatchMode::kDoorbell);
+  const double sgl = remote(remem::BatchMode::kSgl);
+  const double sp = remote(remem::BatchMode::kSp);
   const double local = local_mops(size, batch, reps);
   collector.add({util::fmt_bytes(size), std::to_string(batch),
                  util::fmt(db), util::fmt(sgl), util::fmt(sp),

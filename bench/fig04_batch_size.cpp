@@ -7,7 +7,6 @@
 
 #include "bench_common.hpp"
 #include "hw/dram.hpp"
-#include "remem/batch.hpp"
 
 namespace {
 
@@ -19,34 +18,6 @@ FigureCollector collector(
     {"batch", "Doorbell", "SGL", "SP", "Local-W", "Local-R"});
 
 constexpr std::uint32_t kSize = 32;
-
-template <typename MakeBatcher>
-double run_batcher(MakeBatcher make, std::uint32_t batch,
-                   std::uint64_t reps) {
-  wl::Rig rig;
-  verbs::Buffer src(1 << 18), dst(1 << 18);
-  auto* lmr = rig.ctx[0]->register_buffer(src, 1);
-  auto* rmr = rig.ctx[1]->register_buffer(dst, 1);
-  auto conn = rig.connect(0, 1);
-  auto batcher = make(*conn.local);
-  double out = 0;
-  auto task = [](wl::Rig& r, remem::Batcher& b, verbs::MemoryRegion* l,
-                 verbs::MemoryRegion* rm, std::uint32_t n, std::uint64_t k,
-                 double& res) -> sim::Task {
-    std::vector<remem::BatchItem> items;
-    for (std::uint32_t i = 0; i < n; ++i)
-      items.push_back({{l->addr + i * 4096, kSize, l->key},
-                       rm->addr + i * kSize});
-    const sim::Time start = r.eng.now();
-    for (std::uint64_t i = 0; i < k; ++i)
-      (void)co_await b.flush_write(items, rm->addr, rm->key);
-    res = static_cast<double>(n) * static_cast<double>(k) /
-          sim::to_us(r.eng.now() - start);
-  };
-  rig.eng.spawn(task(rig, *batcher, lmr, rmr, batch, reps, out));
-  rig.eng.run();
-  return out;
-}
 
 double local_rw(bool write, std::uint32_t batch, std::uint64_t reps) {
   hw::ModelParams p;
@@ -68,21 +39,12 @@ double local_rw(bool write, std::uint32_t batch, std::uint64_t reps) {
 void sweep() {
   for (const std::uint32_t batch : {1, 2, 4, 8, 16, 32}) {
     const std::uint64_t reps = bench::micro_ops(4000) / batch + 1;
-    const double db = run_batcher(
-        [](verbs::QueuePair& qp) {
-          return std::make_unique<remem::DoorbellBatcher>(qp);
-        },
-        batch, reps);
-    const double sgl = run_batcher(
-        [](verbs::QueuePair& qp) {
-          return std::make_unique<remem::SglBatcher>(qp);
-        },
-        batch, reps);
-    const double sp = run_batcher(
-        [batch](verbs::QueuePair& qp) {
-          return std::make_unique<remem::SpBatcher>(qp, kSize * batch);
-        },
-        batch, reps);
+    auto remote = [&](remem::BatchMode mode) {
+      return bench::batcher_mops(mode, kSize, batch, 1, reps);
+    };
+    const double db = remote(remem::BatchMode::kDoorbell);
+    const double sgl = remote(remem::BatchMode::kSgl);
+    const double sp = remote(remem::BatchMode::kSp);
     const double lw = local_rw(true, batch, reps);
     const double lr = local_rw(false, batch, reps);
     collector.add({std::to_string(batch), util::fmt(db), util::fmt(sgl),

@@ -22,7 +22,7 @@ void sweep() {
   hw::ModelParams p;
   for (const std::uint32_t entry : {64, 256, 1024, 4096}) {
     // Exactly the costs the simulator charges per entry on the send path
-    // (see SpBatcher/SglBatcher + QueuePair::post_cost).
+    // (see remem::Batcher's kSp and kSgl flushes + QueuePair::post_cost).
     const double common =
         sim::to_ns(p.cpu_tuple_work + p.cpu_hash) +
         sim::to_ns(p.cpu_wqe_prep + p.cpu_mmio) / batch;

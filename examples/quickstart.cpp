@@ -52,13 +52,14 @@ sim::Task demo(wl::Rig& rig, verbs::QueuePair* qp, verbs::MemoryRegion* lmr,
   std::memcpy(local.data() + 100, "AAA", 3);
   std::memcpy(local.data() + 300, "BBB", 3);
   std::memcpy(local.data() + 500, "CCC", 3);
-  remem::SglBatcher sgl(*qp);
+  remem::Batcher sgl(*qp, remem::BatchMode::kSgl);
   std::vector<remem::BatchItem> items = {
       {{lmr->addr + 100, 3, lmr->key}, 0},
       {{lmr->addr + 300, 3, lmr->key}, 0},
       {{lmr->addr + 500, 3, lmr->key}, 0},
   };
-  auto sc = co_await sgl.flush_write(items, rmr->addr + 256, rmr->key);
+  auto sc = co_await sgl.flush(verbs::Opcode::kWrite, items, rmr->addr + 256,
+                               rmr->key);
   std::printf("SGL    : status=%s, remote gathered \"%.9s\"\n",
               verbs::to_string(sc.status),
               reinterpret_cast<const char*>(remote.data() + 256));

@@ -6,7 +6,6 @@
 
 #include "remem/atomics.hpp"
 #include "sim/sync.hpp"
-#include "remem/batch.hpp"
 #include "verbs/buffer.hpp"
 #include "verbs/context.hpp"
 

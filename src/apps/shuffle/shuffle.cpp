@@ -42,7 +42,7 @@ struct Shuffle::Executor {
   // Inbound endpoints: in_qps[src] lives on THIS executor's machine and is
   // connected to src (pull mode READs through it).
   std::vector<verbs::QueuePair*> in_qps;
-  std::vector<std::unique_ptr<remem::Batcher>> batchers;
+  std::vector<remem::Batcher> batchers;  // one per destination
   std::vector<std::unique_ptr<remem::RemoteSequencer>> done_counters;
   // Per-destination state.
   std::vector<std::vector<remem::BatchItem>> pending;
@@ -94,6 +94,7 @@ Shuffle::Shuffle(std::vector<verbs::Context*> ctxs, const Config& cfg)
       ex->ctrl_buf = verbs::Buffer(static_cast<std::size_t>(n) * 64);
       ex->ctrl_mr = ex->ctx->register_buffer(ex->ctrl_buf, ex->socket);
     }
+    ex->batchers.reserve(n);
     ex->pending.resize(n);
     ex->cursor.assign(n, 0);
     ex->sent_count.assign(n, 0);
@@ -115,22 +116,8 @@ Shuffle::Shuffle(std::vector<verbs::Context*> ctxs, const Config& cfg)
       verbs::Context::connect(*qa, *qb);
       src->qps.push_back(qa);
       dst->in_qps.push_back(qb);  // indexed by src id (outer loop order)
-      switch (cfg_.batch) {
-        case BatchMode::kSp:
-          src->batchers.push_back(std::make_unique<remem::SpBatcher>(
-              *qa, cfg_.batch_size * cfg_.entry_size));
-          break;
-        case BatchMode::kSgl:
-          src->batchers.push_back(std::make_unique<remem::SglBatcher>(*qa));
-          break;
-        case BatchMode::kDoorbell:
-          src->batchers.push_back(
-              std::make_unique<remem::DoorbellBatcher>(*qa));
-          break;
-        case BatchMode::kNone:
-          src->batchers.push_back(nullptr);
-          break;
-      }
+      src->batchers.emplace_back(*qa, cfg_.batch,
+                                 cfg_.batch_size * cfg_.entry_size);
       src->done_counters.push_back(std::make_unique<remem::RemoteSequencer>(
           *qa, dst->recv_mr->addr, dst->recv_mr->key));
     }
@@ -152,22 +139,9 @@ sim::Task Shuffle::run_executor(Executor* ex, sim::CountdownLatch& done) {
         ex->cursor[dst] * cfg_.entry_size;
     RDMASEM_CHECK_MSG(ex->cursor[dst] + items.size() <= ex->pair_capacity,
                       "pair sub-region overflow");
-    if (cfg_.batch == BatchMode::kNone) {
-      // Unbatched push: one write per entry.
-      for (auto& item : items) {
-        verbs::WorkRequest wr;
-        wr.opcode = verbs::Opcode::kWrite;
-        wr.sg_list = {item.local};
-        wr.remote_addr = item.remote_addr;
-        wr.rkey = d->recv_mr->key;
-        const auto c = co_await ex->qps[dst]->execute(std::move(wr));
-        RDMASEM_CHECK(c.ok());
-      }
-    } else {
-      const auto c = co_await ex->batchers[dst]->flush_write(
-          items, remote_base, d->recv_mr->key);
-      RDMASEM_CHECK(c.ok());
-    }
+    const auto c = co_await ex->batchers[dst].flush(
+        verbs::Opcode::kWrite, items, remote_base, d->recv_mr->key);
+    RDMASEM_CHECK(c.ok());
     ex->cursor[dst] += items.size();
     items.clear();
   };

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "remem/atomics.hpp"
-#include "sim/sync.hpp"
 #include "remem/batch.hpp"
+#include "sim/sync.hpp"
 #include "verbs/buffer.hpp"
 #include "verbs/context.hpp"
 
@@ -26,7 +26,7 @@ namespace rdmasem::apps::shuffle {
 // NUMA-awareness assigns each executor a dedicated socket with affine
 // memory and RNIC port; without it every executor shares the default
 // port regardless of its socket.
-enum class BatchMode : std::uint8_t { kNone, kSgl, kSp, kDoorbell };
+using remem::BatchMode;
 
 // Data-movement direction. The paper implements PUSH ("in-bound RDMA
 // Write has higher performance than out-bound RDMA Read") and cites

@@ -1,8 +1,7 @@
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "sim/task.hpp"
 #include "verbs/buffer.hpp"
@@ -10,104 +9,62 @@
 
 namespace rdmasem::remem {
 
-// The three vector-IO batch strategies of §III-A / Algorithm 1. All three
-// move the same logical data — a set of scattered local pieces — to remote
-// memory; they differ in who gathers and how many MMIOs / WQEs / network
-// operations are spent:
+// The vector-IO batch strategies of §III-A / Algorithm 1. Each moves the
+// same logical data — a set of scattered local pieces — between local and
+// remote memory; they differ in who gathers and how many MMIOs / WQEs /
+// network operations are spent:
 //
-//            gather-by   MMIOs  WQEs  net ops   paper verdict
-//   SP       CPU         1      1     1         highest tput, worst progr.
-//   Doorbell —           1      n     n         easy, low tput
-//   SGL      RNIC        1      1     1         close to SP, SGE-limited
+//             gather-by   MMIOs  WQEs  net ops   paper verdict
+//   kNone     —           n      n     n         the unbatched baseline
+//   kSgl      RNIC        1      1     1         close to SP, SGE-limited
+//   kSp       CPU         1      1     1         highest tput, worst progr.
+//   kDoorbell —           1      n     n         easy, low tput
+//
+// kSp ("software protocol") memcpys every piece through a staging buffer
+// and issues one WR: packet throttling makes n small pieces cost barely
+// more than one on the wire, but the CPU pays for the copies. kSgl hands
+// the RNIC one WQE whose SGL points at every piece; each extra SGE costs a
+// descriptor fetch, so it scales well only to modest batch sizes (§III-A
+// "good in a small range"). kDoorbell rings one doorbell MMIO over n
+// independent WQEs (Kalia et al.), which saves CPU MMIOs only.
+enum class BatchMode : std::uint8_t { kNone, kSgl, kSp, kDoorbell };
+
+// Where each piece goes remotely depends on the mode:
+//   kNone, kDoorbell  every item at its own `remote_addr`; the flush's
+//                     `remote_base` is ignored.
+//   kSgl, kSp         the items back-to-back from the flush's
+//                     `remote_base`, in order; `remote_addr` is ignored.
 struct BatchItem {
   verbs::Sge local;            // a piece of registered local memory
-  std::uint64_t remote_addr;   // its destination (Doorbell honors this
-                               // per item; SP/SGL write contiguously at
-                               // the flush's remote_base)
+  std::uint64_t remote_addr;   // its remote address (kNone / kDoorbell)
 };
 
 class Batcher {
  public:
-  virtual ~Batcher() = default;
+  // `sp_staging_bytes` bounds the total bytes of one kSp flush; only kSp
+  // allocates and registers staging (on the socket of the QP's port: SP
+  // is always paired with NUMA-clean placement in the paper's designs).
+  Batcher(verbs::QueuePair& qp, BatchMode mode,
+          std::size_t sp_staging_bytes = 0);
 
-  // Writes all items to the peer; resumes when the (last) WR completes.
-  // SP/SGL lay items out back-to-back starting at remote_base; Doorbell
-  // writes each item at its own remote_addr.
-  virtual sim::TaskT<verbs::Completion> flush_write(
-      std::span<const BatchItem> items, std::uint64_t remote_base,
-      std::uint32_t rkey) = 0;
-
-  // The read-side mirror: fetches remote data into the items' local
-  // buffers. SGL reads the contiguous range [remote_base, ...) and the
-  // NIC scatters it across the SGEs; SP reads into its staging buffer and
-  // the CPU scatters; Doorbell issues one READ per item (from each item's
-  // own remote_addr).
-  virtual sim::TaskT<verbs::Completion> flush_read(
-      std::span<const BatchItem> items, std::uint64_t remote_base,
-      std::uint32_t rkey) = 0;
-
-  virtual const char* name() const = 0;
-};
-
-// SP — "software protocol": the CPU memcpys every piece into a staging
-// buffer, then issues ONE write WR. Exploits packet throttling: n small
-// pieces cost barely more than one on the wire. Burns CPU on the gather.
-class SpBatcher final : public Batcher {
- public:
-  // `staging_capacity` bounds the total bytes of one flush.
-  SpBatcher(verbs::QueuePair& qp, std::size_t staging_capacity);
-
-  sim::TaskT<verbs::Completion> flush_write(std::span<const BatchItem> items,
-                                            std::uint64_t remote_base,
-                                            std::uint32_t rkey) override;
-  sim::TaskT<verbs::Completion> flush_read(std::span<const BatchItem> items,
-                                           std::uint64_t remote_base,
-                                           std::uint32_t rkey) override;
-  const char* name() const override { return "SP"; }
+  // Moves every item to the peer (`op` = kWrite) or fetches it into its
+  // local piece (`op` = kRead). Resumes when the last WR completes and
+  // returns its completion; kNone stops at and returns the first failure.
+  sim::TaskT<verbs::Completion> flush(verbs::Opcode op,
+                                      std::span<const BatchItem> items,
+                                      std::uint64_t remote_base,
+                                      std::uint32_t rkey);
 
  private:
+  sim::TaskT<verbs::Completion> flush_sp(verbs::Opcode op,
+                                         std::span<const BatchItem> items,
+                                         std::uint64_t remote_base,
+                                         std::uint32_t rkey);
+
   verbs::QueuePair& qp_;
+  BatchMode mode_;
   verbs::Buffer staging_;
-  verbs::MemoryRegion* staging_mr_;
-};
-
-// Doorbell — one doorbell MMIO rings n independent WQEs (Kalia et al.).
-// Saves CPU MMIOs only: still n WQEs through the execution unit and n
-// packets on the wire.
-class DoorbellBatcher final : public Batcher {
- public:
-  explicit DoorbellBatcher(verbs::QueuePair& qp) : qp_(qp) {}
-
-  sim::TaskT<verbs::Completion> flush_write(std::span<const BatchItem> items,
-                                            std::uint64_t remote_base,
-                                            std::uint32_t rkey) override;
-  sim::TaskT<verbs::Completion> flush_read(std::span<const BatchItem> items,
-                                           std::uint64_t remote_base,
-                                           std::uint32_t rkey) override;
-  const char* name() const override { return "Doorbell"; }
-
- private:
-  verbs::QueuePair& qp_;
-};
-
-// SGL — scatter/gather list: one WQE whose SGL points at every piece; the
-// RNIC gathers them over PCIe. No CPU gather, but each extra SGE costs a
-// descriptor fetch on the NIC, so it scales well only to modest batch
-// sizes (§III-A "good in a small range").
-class SglBatcher final : public Batcher {
- public:
-  explicit SglBatcher(verbs::QueuePair& qp) : qp_(qp) {}
-
-  sim::TaskT<verbs::Completion> flush_write(std::span<const BatchItem> items,
-                                            std::uint64_t remote_base,
-                                            std::uint32_t rkey) override;
-  sim::TaskT<verbs::Completion> flush_read(std::span<const BatchItem> items,
-                                           std::uint64_t remote_base,
-                                           std::uint32_t rkey) override;
-  const char* name() const override { return "SGL"; }
-
- private:
-  verbs::QueuePair& qp_;
+  verbs::MemoryRegion* staging_mr_ = nullptr;
 };
 
 }  // namespace rdmasem::remem

@@ -154,7 +154,8 @@ struct ReadRig {
     tb.eng.spawn([](ReadRig& r, remem::Batcher& bb, std::size_t nn,
                     std::uint64_t o) -> sim::Task {
       auto its = r.items(nn, o);
-      auto c = co_await bb.flush_read(its, r.rmr->addr + o, r.rmr->key);
+      auto c = co_await bb.flush(v::Opcode::kRead, its, r.rmr->addr + o,
+                                 r.rmr->key);
       EXPECT_TRUE(c.ok());
     }(*this, b, n, off));
     tb.eng.run();
@@ -165,35 +166,35 @@ struct ReadRig {
 
 TEST(BatchersRead, SglScattersReadCorrectly) {
   ReadRig rig;
-  remem::SglBatcher sgl(*rig.conn.local);
+  remem::Batcher sgl(*rig.conn.local, remem::BatchMode::kSgl);
   rig.flush_read(sgl, 8, 4096);
   EXPECT_TRUE(rig.local_matches(8, 4096));
 }
 
 TEST(BatchersRead, SpScattersReadCorrectly) {
   ReadRig rig;
-  remem::SpBatcher sp(*rig.conn.local, 1 << 12);
+  remem::Batcher sp(*rig.conn.local, remem::BatchMode::kSp, 1 << 12);
   rig.flush_read(sp, 8, 8192);
   EXPECT_TRUE(rig.local_matches(8, 8192));
 }
 
 TEST(BatchersRead, DoorbellReadsPerItemSources) {
   ReadRig rig;
-  remem::DoorbellBatcher db(*rig.conn.local);
+  remem::Batcher db(*rig.conn.local, remem::BatchMode::kDoorbell);
   rig.flush_read(db, 8, 0);
   EXPECT_TRUE(rig.local_matches(8, 0));
 }
 
 TEST(BatchersRead, BatchedReadFasterThanSingles) {
   ReadRig rig;
-  remem::SglBatcher sgl(*rig.conn.local);
+  remem::Batcher sgl(*rig.conn.local, remem::BatchMode::kSgl);
   sim::Time t_batched = 0, t_single = 0;
-  rig.tb.eng.spawn([](ReadRig& r, remem::SglBatcher& b, sim::Time& tb_,
+  rig.tb.eng.spawn([](ReadRig& r, remem::Batcher& b, sim::Time& tb_,
                       sim::Time& ts) -> sim::Task {
     auto its = r.items(16, 0);
     sim::Time t0 = r.tb.eng.now();
     for (int k = 0; k < 50; ++k)
-      (void)co_await b.flush_read(its, r.rmr->addr, r.rmr->key);
+      (void)co_await b.flush(v::Opcode::kRead, its, r.rmr->addr, r.rmr->key);
     tb_ = r.tb.eng.now() - t0;
     t0 = r.tb.eng.now();
     for (int k = 0; k < 50; ++k)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "remem/batch.hpp"
+#include "sim/rng.hpp"
 #include "sim/sync.hpp"
 #include "testbed.hpp"
 
@@ -10,6 +13,7 @@ namespace v = rdmasem::verbs;
 namespace sim = rdmasem::sim;
 namespace remem = rdmasem::remem;
 using rdmasem::test::Testbed;
+using remem::BatchMode;
 
 namespace {
 
@@ -51,7 +55,8 @@ struct BatchRig {
       auto its = r.items(nn);
       const sim::Time start = r.tb.eng.now();
       for (int i = 0; i < rr; ++i) {
-        auto c = co_await batcher.flush_write(its, r.rmr->addr, r.rmr->key);
+        auto c = co_await batcher.flush(v::Opcode::kWrite, its, r.rmr->addr,
+                                        r.rmr->key);
         RDMASEM_CHECK(c.ok());
       }
       res = static_cast<double>(nn) * rr /
@@ -67,21 +72,21 @@ struct BatchRig {
 
 TEST(Batchers, SpMovesDataCorrectly) {
   BatchRig rig;
-  remem::SpBatcher sp(*rig.conn.local, 1 << 14);
+  remem::Batcher sp(*rig.conn.local, BatchMode::kSp, 1 << 14);
   rig.flush_mops(sp, 8, 1);
   EXPECT_TRUE(rig.remote_matches_gather(8));
 }
 
 TEST(Batchers, SglMovesDataCorrectly) {
   BatchRig rig;
-  remem::SglBatcher sgl(*rig.conn.local);
+  remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
   rig.flush_mops(sgl, 8, 1);
   EXPECT_TRUE(rig.remote_matches_gather(8));
 }
 
 TEST(Batchers, DoorbellMovesDataToPerItemAddresses) {
   BatchRig rig;
-  remem::DoorbellBatcher db(*rig.conn.local);
+  remem::Batcher db(*rig.conn.local, BatchMode::kDoorbell);
   rig.flush_mops(db, 8, 1);
   // Doorbell writes each item at its own remote_addr (same layout here).
   EXPECT_TRUE(rig.remote_matches_gather(8));
@@ -90,9 +95,9 @@ TEST(Batchers, DoorbellMovesDataToPerItemAddresses) {
 TEST(Batchers, PaperOrderingSpGeSglGtDoorbell) {
   // §III-A: SP >= SGL >> Doorbell in throughput for small payloads.
   BatchRig rig;
-  remem::SpBatcher sp(*rig.conn.local, 1 << 14);
-  remem::SglBatcher sgl(*rig.conn.local);
-  remem::DoorbellBatcher db(*rig.conn.local);
+  remem::Batcher sp(*rig.conn.local, BatchMode::kSp, 1 << 14);
+  remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
+  remem::Batcher db(*rig.conn.local, BatchMode::kDoorbell);
   const double m_sp = rig.flush_mops(sp, 16, 300);
   const double m_sgl = rig.flush_mops(sgl, 16, 300);
   const double m_db = rig.flush_mops(db, 16, 300);
@@ -104,7 +109,7 @@ TEST(Batchers, PaperOrderingSpGeSglGtDoorbell) {
 
 TEST(Batchers, SpScalesWithBatchSize) {
   BatchRig rig;
-  remem::SpBatcher sp(*rig.conn.local, 1 << 14);
+  remem::Batcher sp(*rig.conn.local, BatchMode::kSp, 1 << 14);
   const double b1 = rig.flush_mops(sp, 1, 300);
   const double b16 = rig.flush_mops(sp, 16, 300);
   EXPECT_GT(b16 / b1, 4.0);  // strong scaling
@@ -112,7 +117,7 @@ TEST(Batchers, SpScalesWithBatchSize) {
 
 TEST(Batchers, DoorbellBarelyScalesWithBatchSize) {
   BatchRig rig;
-  remem::DoorbellBatcher db(*rig.conn.local);
+  remem::Batcher db(*rig.conn.local, BatchMode::kDoorbell);
   const double b1 = rig.flush_mops(db, 1, 300);
   const double b32 = rig.flush_mops(db, 32, 100);
   const double gain = b32 / b1;
@@ -124,8 +129,8 @@ TEST(Batchers, SglDegradesAtLargeBatch) {
   // "High performance only exists in a small range": per-SGE fetch costs
   // make large SGL batches sublinear vs SP.
   BatchRig rig;
-  remem::SpBatcher sp(*rig.conn.local, 1 << 14);
-  remem::SglBatcher sgl(*rig.conn.local);
+  remem::Batcher sp(*rig.conn.local, BatchMode::kSp, 1 << 14);
+  remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
   const double sp32 = rig.flush_mops(sp, 32, 200);
   const double sgl32 = rig.flush_mops(sgl, 32, 200);
   const double sp4 = rig.flush_mops(sp, 4, 200);
@@ -136,13 +141,27 @@ TEST(Batchers, SglDegradesAtLargeBatch) {
 namespace {
 void oversized_sgl_flush() {
   BatchRig rig;
-  remem::SglBatcher sgl(*rig.conn.local);
+  remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
   auto items = rig.items(rig.tb.cluster.params().rnic_max_sge + 1);
-  auto task = [](BatchRig& r, remem::SglBatcher& b,
+  auto task = [](BatchRig& r, remem::Batcher& b,
                  std::vector<remem::BatchItem>& its) -> sim::Task {
-    (void)co_await b.flush_write(its, r.rmr->addr, r.rmr->key);
+    (void)co_await b.flush(v::Opcode::kWrite, its, r.rmr->addr, r.rmr->key);
   };
   rig.tb.eng.spawn(task(rig, sgl, items));
+  rig.tb.eng.run();
+}
+
+// Flushes `n` of the rig's 32 B items through an SP batcher whose staging
+// holds 64 B.
+void sp_flush_into_64b_staging(v::Opcode op, std::size_t n) {
+  BatchRig rig;
+  remem::Batcher sp(*rig.conn.local, BatchMode::kSp, 64);
+  auto items = rig.items(n);
+  auto task = [](BatchRig& r, remem::Batcher& b, v::Opcode o,
+                 std::vector<remem::BatchItem>& its) -> sim::Task {
+    (void)co_await b.flush(o, its, r.rmr->addr, r.rmr->key);
+  };
+  rig.tb.eng.spawn(task(rig, sp, op, items));
   rig.tb.eng.run();
 }
 }  // namespace
@@ -151,19 +170,123 @@ TEST(BatchersDeathTest, SglRejectsBatchBeyondSgeLimit) {
   EXPECT_DEATH(oversized_sgl_flush(), "SGE limit");
 }
 
+TEST(BatchersDeathTest, SpRejectsWriteBeyondStaging) {
+  sp_flush_into_64b_staging(v::Opcode::kWrite, 2);  // exactly fills staging
+  EXPECT_DEATH(sp_flush_into_64b_staging(v::Opcode::kWrite, 3),
+               "SP staging overflow");
+}
+
+TEST(BatchersDeathTest, SpRejectsReadBeyondStaging) {
+  sp_flush_into_64b_staging(v::Opcode::kRead, 2);
+  EXPECT_DEATH(sp_flush_into_64b_staging(v::Opcode::kRead, 3),
+               "SP staging overflow");
+}
+
+TEST(BatchersDeathTest, FlushIsOnlyWriteOrRead) {
+  auto flush_as = [](v::Opcode op) {
+    BatchRig rig;
+    remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
+    auto items = rig.items(2);
+    (void)sgl.flush(op, items, rig.rmr->addr, rig.rmr->key);
+  };
+  EXPECT_DEATH(flush_as(v::Opcode::kSend), "WRITE or a READ");
+  EXPECT_DEATH(flush_as(v::Opcode::kFetchAdd), "WRITE or a READ");
+}
+
+// Every mode, both directions: random piece sizes (1..64 B), random local
+// strides and up to rnic_max_sge items, checked against a plain memcpy
+// reference of both buffers. kNone and kDoorbell must honour each item's
+// remote_addr; kSgl and kSp must lay the pieces out back-to-back from
+// remote_base and ignore remote_addr (it points elsewhere here).
+TEST(Batchers, RoundTripMatchesMemcpyReference) {
+  struct Case {
+    BatchMode mode;
+    v::Opcode op;
+  };
+  const Case cases[] = {
+      {BatchMode::kNone, v::Opcode::kWrite},
+      {BatchMode::kNone, v::Opcode::kRead},
+      {BatchMode::kSgl, v::Opcode::kWrite},
+      {BatchMode::kSgl, v::Opcode::kRead},
+      {BatchMode::kSp, v::Opcode::kWrite},
+      {BatchMode::kSp, v::Opcode::kRead},
+      {BatchMode::kDoorbell, v::Opcode::kWrite},
+      {BatchMode::kDoorbell, v::Opcode::kRead},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "mode " << static_cast<int>(tc.mode) << ", op "
+                 << static_cast<int>(tc.op));
+    BatchRig rig;
+    remem::Batcher b(*rig.conn.local, tc.mode, 1 << 14);
+    const std::size_t max_sge = rig.tb.cluster.params().rnic_max_sge;
+    sim::Rng rng(static_cast<std::uint64_t>(tc.mode) * 2 +
+                 static_cast<std::uint64_t>(tc.op) + 1);
+    for (int round = 0; round < 16; ++round) {
+      for (auto* buf : {&rig.src, &rig.dst})
+        for (std::size_t i = 0; i < buf->size(); ++i)
+          buf->data()[i] = static_cast<std::byte>(rng.next());
+      const std::size_t n = 1 + rng.uniform(max_sge);
+      // Per-item remote slots of 128 B from 4 KiB, in shuffled order;
+      // the contiguous destination starts at 32 KiB plus a random offset.
+      std::vector<std::size_t> slot(n);
+      for (std::size_t i = 0; i < n; ++i) slot[i] = i;
+      for (std::size_t i = n; i > 1; --i)
+        std::swap(slot[i - 1], slot[rng.uniform(i)]);
+      const std::uint64_t base_off = 32768 + rng.uniform(1024);
+      const bool per_item = tc.mode == BatchMode::kNone ||
+                            tc.mode == BatchMode::kDoorbell;
+      std::vector<remem::BatchItem> items;
+      std::vector<std::byte> ref_src(rig.src.data(),
+                                     rig.src.data() + rig.src.size());
+      std::vector<std::byte> ref_dst(rig.dst.data(),
+                                     rig.dst.data() + rig.dst.size());
+      std::uint64_t local_off = rng.uniform(256);
+      std::uint64_t packed_off = base_off;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto len = static_cast<std::uint32_t>(1 + rng.uniform(64));
+        const std::uint64_t item_off = 4096 + slot[i] * 128 + rng.uniform(64);
+        items.push_back({{rig.lmr->addr + local_off, len, rig.lmr->key},
+                         rig.rmr->addr + item_off});
+        const std::uint64_t remote_off = per_item ? item_off : packed_off;
+        if (tc.op == v::Opcode::kWrite)
+          std::memcpy(ref_dst.data() + remote_off, ref_src.data() + local_off,
+                      len);
+        else
+          std::memcpy(ref_src.data() + local_off, ref_dst.data() + remote_off,
+                      len);
+        packed_off += len;
+        local_off += len + rng.uniform(256);
+      }
+      v::Completion c;
+      rig.tb.eng.spawn([](BatchRig& r, remem::Batcher& bb, v::Opcode op,
+                          const std::vector<remem::BatchItem>& its,
+                          std::uint64_t base,
+                          v::Completion& out) -> sim::Task {
+        out = co_await bb.flush(op, its, r.rmr->addr + base, r.rmr->key);
+      }(rig, b, tc.op, items, base_off, c));
+      rig.tb.eng.run();
+      ASSERT_TRUE(c.ok()) << "round " << round;
+      EXPECT_EQ(std::memcmp(rig.src.data(), ref_src.data(), ref_src.size()),
+                0)
+          << "local memory, round " << round << ", " << n << " items";
+      EXPECT_EQ(std::memcmp(rig.dst.data(), ref_dst.data(), ref_dst.size()),
+                0)
+          << "remote memory, round " << round << ", " << n << " items";
+    }
+  }
+}
+
 TEST(Batchers, ThreadScalingMatchesFig5) {
   // Fig. 5: with window-1 batch-4 clients sharing a port, Doorbell's
   // per-thread throughput collapses with thread count while SP barely
   // moves (it spends 1 WQE per 4 logical ops).
-  auto per_thread = [](auto make_batcher, std::uint32_t threads) {
+  auto per_thread = [](BatchMode mode, std::uint32_t threads) {
     BatchRig rig;
-    std::vector<std::unique_ptr<remem::Batcher>> batchers;
-    std::vector<v::QueuePair*> qps;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      auto conn = rig.tb.connect(0, 1);
-      batchers.push_back(make_batcher(*conn.local));
-      qps.push_back(conn.local);
-    }
+    std::vector<remem::Batcher> batchers;
+    batchers.reserve(threads);
+    for (std::uint32_t t = 0; t < threads; ++t)
+      batchers.emplace_back(*rig.tb.connect(0, 1).local, mode, 1 << 12);
     double total = 0;
     sim::CountdownLatch done(rig.tb.eng, threads);
     sim::Time end = 0;
@@ -172,27 +295,22 @@ TEST(Batchers, ThreadScalingMatchesFig5) {
                      sim::Time& e) -> sim::Task {
         auto its = r.items(4);
         for (int i = 0; i < 300; ++i)
-          (void)co_await b.flush_write(its, r.rmr->addr, r.rmr->key);
+          (void)co_await b.flush(v::Opcode::kWrite, its, r.rmr->addr,
+                                 r.rmr->key);
         e = std::max(e, r.tb.eng.now());
         d.count_down();
       };
-      rig.tb.eng.spawn(loop(rig, *batchers[t], done, end));
+      rig.tb.eng.spawn(loop(rig, batchers[t], done, end));
     }
     rig.tb.eng.run();
     total = 4.0 * 300 * threads / rdmasem::sim::to_us(end);
     return total / threads;
   };
 
-  auto mk_sp = [](v::QueuePair& qp) -> std::unique_ptr<remem::Batcher> {
-    return std::make_unique<remem::SpBatcher>(qp, 1 << 12);
-  };
-  auto mk_db = [](v::QueuePair& qp) -> std::unique_ptr<remem::Batcher> {
-    return std::make_unique<remem::DoorbellBatcher>(qp);
-  };
-  const double sp1 = per_thread(mk_sp, 1);
-  const double sp8 = per_thread(mk_sp, 8);
-  const double db1 = per_thread(mk_db, 1);
-  const double db8 = per_thread(mk_db, 8);
+  const double sp1 = per_thread(BatchMode::kSp, 1);
+  const double sp8 = per_thread(BatchMode::kSp, 8);
+  const double db1 = per_thread(BatchMode::kDoorbell, 1);
+  const double db8 = per_thread(BatchMode::kDoorbell, 8);
   const double sp_drop = 1.0 - sp8 / sp1;
   const double db_drop = 1.0 - db8 / db1;
   EXPECT_LT(sp_drop, 0.45);          // SP holds up
