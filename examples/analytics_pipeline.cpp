@@ -16,6 +16,7 @@ namespace sh = apps::shuffle;
 namespace jn = apps::join;
 
 int main() {
+  bool ok = true;
   // --- standalone shuffle: move 64 B records all-to-all ----------------
   {
     wl::Rig rig;
@@ -26,12 +27,13 @@ int main() {
     cfg.batch_size = 16;
     sh::Shuffle shuffle(rig.contexts(), cfg);
     const auto r = shuffle.run();
+    const bool sums_match =
+        shuffle.received_checksum() == shuffle.sent_checksum();
+    ok = sums_match;
     std::printf("shuffle: %llu entries in %.2f ms -> %.1f MOPS, checksum %s\n",
                 static_cast<unsigned long long>(r.entries),
                 sim::to_us(r.elapsed) / 1e3, r.mops,
-                shuffle.received_checksum() == shuffle.sent_checksum()
-                    ? "OK"
-                    : "MISMATCH");
+                sums_match ? "OK" : "MISMATCH");
   }
 
   // --- the full join, single machine vs distributed --------------------
@@ -58,5 +60,5 @@ int main() {
               dist.seconds, dist.partition_seconds,
               dist.build_probe_seconds, dist.verified() ? "OK" : "WRONG");
   std::printf("  speedup        : %.2fx\n", single.seconds / dist.seconds);
-  return 0;
+  return ok && single.verified() && dist.verified() ? 0 : 1;
 }

@@ -56,13 +56,16 @@ double run_workload(bool numa, bool consolidate) {
   return front_ends * pipeline * static_cast<double>(ops) / sim::to_us(end);
 }
 
-sim::Task sanity_get(ht::FrontEnd& fe, const ht::Config& cfg) {
+// Sets `ok` once the value read back equals the one put.
+sim::Task sanity_get(ht::FrontEnd& fe, const ht::Config& cfg, bool& ok) {
   std::vector<std::byte> v(cfg.value_size);
   std::memcpy(v.data(), "cached-value", 12);
   co_await fe.put(12345, v);
   const auto got = co_await fe.get(12345);
-  std::printf("get(12345) after put -> \"%.12s\" (%zu bytes)\n",
-              reinterpret_cast<const char*>(got.data()), got.size());
+  ok = got == v;
+  std::printf("get(12345) after put -> \"%.12s\" (%zu bytes), %s\n",
+              reinterpret_cast<const char*>(got.data()), got.size(),
+              ok ? "OK" : "MISMATCH");
 }
 
 }  // namespace
@@ -88,7 +91,8 @@ int main() {
   cfg.consolidate = true;
   ht::DisaggHashTable table(*rig.ctx[0], cfg);
   auto fe = table.add_front_end(*rig.ctx[1], 1);
-  rig.eng.spawn(sanity_get(*fe, cfg));
+  bool ok = false;
+  rig.eng.spawn(sanity_get(*fe, cfg, ok));
   rig.eng.run();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -19,19 +19,27 @@ namespace {
 
 sim::Task demo(wl::Rig& rig, verbs::QueuePair* qp, verbs::MemoryRegion* lmr,
                verbs::MemoryRegion* rmr, verbs::Buffer& local,
-               verbs::Buffer& remote) {
+               verbs::Buffer& remote, bool& ok) {
+  // Every completion must succeed and every byte land where it was sent.
+  // `ok` is set only once the demo has run to its end.
+  bool good = true;
+  auto check = [&good](bool cond) { good = good && cond; };
+
   // --- one-sided WRITE: push bytes into the remote machine's memory ----
-  std::memcpy(local.data(), "hello, remote memory!", 22);
+  static constexpr char kMsg[] = "hello, remote memory!";
+  std::memcpy(local.data(), kMsg, sizeof kMsg);
   auto wc = co_await qp->execute(wl::make_write(*lmr, 0, *rmr, 64, 22));
   std::printf("WRITE  : status=%s, %u bytes, remote now holds \"%s\"\n",
               verbs::to_string(wc.status), wc.byte_len,
               reinterpret_cast<const char*>(remote.data() + 64));
+  check(wc.ok() && std::memcmp(remote.data() + 64, kMsg, sizeof kMsg) == 0);
 
   // --- one-sided READ: pull them back somewhere else ------------------
   auto rc = co_await qp->execute(wl::make_read(*lmr, 1024, *rmr, 64, 22));
   std::printf("READ   : status=%s, local copy    \"%s\"\n",
               verbs::to_string(rc.status),
               reinterpret_cast<const char*>(local.data() + 1024));
+  check(rc.ok() && std::memcmp(local.data() + 1024, kMsg, sizeof kMsg) == 0);
 
   // --- one-sided FETCH_ADD: a remote sequencer in three lines ---------
   verbs::WorkRequest faa;
@@ -46,6 +54,7 @@ sim::Task demo(wl::Rig& rig, verbs::QueuePair* qp, verbs::MemoryRegion* lmr,
     std::printf("FAA    : ticket %llu (latency %.2f us)\n",
                 static_cast<unsigned long long>(ac.atomic_old),
                 sim::to_us(ac.completed_at - posted));
+    check(ac.ok() && ac.atomic_old == static_cast<std::uint64_t>(i));
   }
 
   // --- vector IO: gather three scattered pieces with one SGL write ----
@@ -63,9 +72,11 @@ sim::Task demo(wl::Rig& rig, verbs::QueuePair* qp, verbs::MemoryRegion* lmr,
   std::printf("SGL    : status=%s, remote gathered \"%.9s\"\n",
               verbs::to_string(sc.status),
               reinterpret_cast<const char*>(remote.data() + 256));
+  check(sc.ok() && std::memcmp(remote.data() + 256, "AAABBBCCC", 9) == 0);
 
   std::printf("\nsimulated time elapsed: %.2f us\n",
               sim::to_us(rig.eng.now()));
+  ok = good;
 }
 
 }  // namespace
@@ -84,7 +95,9 @@ int main() {
   // One reliable connection between machine 0 and machine 1.
   auto conn = rig.connect(0, 1);
 
-  rig.eng.spawn(demo(rig, conn.local, lmr, rmr, local, remote));
+  bool ok = false;
+  rig.eng.spawn(demo(rig, conn.local, lmr, rmr, local, remote, ok));
   rig.eng.run();
-  return 0;
+  std::printf("verify : %s\n", ok ? "OK" : "MISMATCH");
+  return ok ? 0 : 1;
 }

@@ -1,18 +1,19 @@
 // remote_queue: a multi-producer queue living entirely in ANOTHER
-// machine's memory, built from the typed RemoteRegion API — the paper's
-// "remote memory as a first-class data-structure substrate" theme
-// (§IV-A class I) in ~60 lines of data-structure code.
+// machine's memory — the paper's "remote memory as a first-class
+// data-structure substrate" theme (§IV-A class I) in ~60 lines of
+// data-structure code.
 //
 // Layout in remote memory:
 //   [ tail u64 | pad | slots: 64 B each ]
-// Producers claim a slot with one remote fetch-and-add, then write the
-// record with one RDMA write — the same reserve-then-write protocol as
-// the distributed log, expressed through RemotePtr/RemoteRegion.
+// Producers claim a slot with one remote fetch-and-add (remem::WordClient,
+// the path the sequencers use), then publish the record from their own
+// registered buffer with one RDMA write — the same reserve-then-write
+// protocol as the distributed log.
 
 #include <cstdio>
 #include <cstring>
 
-#include "remem/region.hpp"
+#include "remem/atomics.hpp"
 #include "sim/sync.hpp"
 #include "wl/rig.hpp"
 
@@ -32,12 +33,14 @@ struct Item {
 };
 static_assert(sizeof(Item) <= kSlotBytes);
 
-sim::Task producer(wl::Rig& rig, remem::RemoteRegion& region,
+sim::Task producer(remem::WordClient& words, verbs::MemoryRegion& queue,
+                   verbs::Buffer& item_buf, verbs::MemoryRegion& item_mr,
                    std::uint64_t id, std::uint64_t count,
                    sim::CountdownLatch& done) {
-  remem::RemotePtr<std::uint64_t> tail(region, 0);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t slot = co_await tail.fetch_add(1);  // claim
+    const auto claim = co_await words.faa(queue.addr, queue.key, 1);
+    RDMASEM_CHECK(claim.ok());
+    const std::uint64_t slot = claim.atomic_old;
     Item item{};
     item.producer = id;
     item.seq = i;
@@ -45,9 +48,11 @@ sim::Task producer(wl::Rig& rig, remem::RemoteRegion& region,
                   static_cast<unsigned long long>(id),
                   static_cast<unsigned long long>(i));
     item.ready = 1;
-    co_await region.write(kSlotsBase + slot * kSlotBytes, item);  // publish
+    std::memcpy(item_buf.data(), &item, sizeof item);
+    const auto c = co_await words.qp().execute(wl::make_write(
+        item_mr, 0, queue, kSlotsBase + slot * kSlotBytes, sizeof item));
+    RDMASEM_CHECK(c.ok());
   }
-  (void)rig;
   done.count_down();
 }
 
@@ -63,12 +68,16 @@ int main() {
 
   const std::uint64_t producers = 4, per_producer = 32;
   sim::CountdownLatch done(rig.eng, producers);
-  std::vector<std::unique_ptr<remem::RemoteRegion>> regions;
+  std::vector<std::unique_ptr<remem::WordClient>> words;
+  std::vector<verbs::Buffer> item_bufs(producers);
   for (std::uint64_t p = 0; p < producers; ++p) {
-    auto conn = rig.connect(static_cast<std::uint32_t>(1 + p), 0);
-    regions.push_back(std::make_unique<remem::RemoteRegion>(
-        *conn.local, mr->addr, mr->key, backing.size()));
-    rig.eng.spawn(producer(rig, *regions.back(), p, per_producer, done));
+    const auto m = static_cast<std::uint32_t>(1 + p);
+    auto conn = rig.connect(m, 0);
+    words.push_back(std::make_unique<remem::WordClient>(*conn.local));
+    item_bufs[p] = verbs::Buffer(kSlotBytes);
+    auto* item_mr = rig.ctx[m]->register_buffer(item_bufs[p], 1);
+    rig.eng.spawn(producer(*words.back(), *mr, item_bufs[p], *item_mr, p,
+                           per_producer, done));
   }
   rig.eng.run();
 

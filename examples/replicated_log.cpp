@@ -16,7 +16,8 @@ namespace dl = apps::dlog;
 
 namespace {
 
-void run_once(std::uint32_t engines, std::uint32_t batch) {
+// Returns whether the log verified.
+bool run_once(std::uint32_t engines, std::uint32_t batch) {
   wl::Rig rig;
   dl::Config cfg;
   cfg.engines = engines;
@@ -24,18 +25,21 @@ void run_once(std::uint32_t engines, std::uint32_t batch) {
   cfg.batch_size = batch;
   dl::DistributedLog log(rig.contexts(), cfg);
   const auto r = log.run();
+  const bool ok = log.verify_dense_and_intact();
   std::printf(
       "%2u engines, batch %2u : %6.2f MOPS, tail=%7llu B, verify=%s\n",
       engines, batch, r.mops, static_cast<unsigned long long>(log.tail()),
-      log.verify_dense_and_intact() ? "OK" : "CORRUPT");
+      ok ? "OK" : "CORRUPT");
+  return ok;
 }
 
 }  // namespace
 
 int main() {
   std::printf("distributed log: FAA-reserved extents + one-sided writes\n\n");
-  for (std::uint32_t batch : {1u, 8u, 32u}) run_once(7, batch);
+  bool ok = true;
+  for (std::uint32_t batch : {1u, 8u, 32u}) ok = run_once(7, batch) && ok;
   std::printf("\n");
-  for (std::uint32_t engines : {4u, 14u}) run_once(engines, 16);
-  return 0;
+  for (std::uint32_t engines : {4u, 14u}) ok = run_once(engines, 16) && ok;
+  return ok ? 0 : 1;
 }

@@ -82,9 +82,6 @@ class FrontEnd {
   const remem::Consolidator* consolidator(hw::SocketId s) const {
     return s < cons_.size() ? cons_[s].get() : nullptr;
   }
-  const remem::RemoteLockClient* lock_client(hw::SocketId s) const {
-    return s < locks_.size() ? locks_[s].get() : nullptr;
-  }
 
  private:
   friend class DisaggHashTable;
@@ -145,9 +142,6 @@ class Backend {
 
   // Hot addressing.
   std::uint64_t hot_block_bytes() const;
-  std::uint64_t hot_block_of(std::uint64_t key) const {
-    return key / cfg_->entries_per_block;
-  }
   std::uint64_t hot_block_addr(std::uint64_t block) const;  // lock word
   std::uint64_t hot_entry_off(std::uint64_t key) const;     // offset of the
                                                             // entry in the

@@ -187,7 +187,7 @@ sim::Task Shuffle::run_executor(Executor* ex, sim::CountdownLatch& done) {
 // Pull mode, stage 1: partition entries into per-destination staging runs
 // on the sender (CPU copies, like a map task's spill), then post each
 // destination's count into its control array (one small WRITE).
-sim::Task Shuffle::run_producer(Executor* ex, sim::CountdownLatch& staged) {
+sim::Task Shuffle::run_producer(Executor* ex) {
   auto& eng = ex->ctx->engine();
   const auto& p = ex->ctx->params();
   const std::uint32_t n = cfg_.executors;
@@ -227,14 +227,12 @@ sim::Task Shuffle::run_producer(Executor* ex, sim::CountdownLatch& staged) {
     const auto c = co_await ex->qps[dst]->execute(std::move(wr));
     RDMASEM_CHECK(c.ok());
   }
-  staged.count_down();
 }
 
 // Pull mode, stage 2: the receiver polls its control array and READs each
 // producer's staged run in batch_size-entry chunks (out-bound READ — the
 // path the paper argues against).
-sim::Task Shuffle::run_puller(Executor* ex, sim::CountdownLatch& staged,
-                              sim::CountdownLatch& done) {
+sim::Task Shuffle::run_puller(Executor* ex, sim::CountdownLatch& done) {
   auto& eng = ex->ctx->engine();
   const std::uint32_t n = cfg_.executors;
   const std::uint32_t chunk =
@@ -273,24 +271,20 @@ sim::Task Shuffle::run_puller(Executor* ex, sim::CountdownLatch& staged,
       RDMASEM_CHECK(c.ok());
     }
   }
-  (void)staged;
   done.count_down();
 }
 
 Result Shuffle::run() {
   auto& eng = ctxs_[0]->engine();
   sim::CountdownLatch done(eng, cfg_.executors);
-  // Pull mode only. Declared at function scope because the producers
-  // count it down during eng.run() below, after the branch has closed.
-  sim::CountdownLatch staged(eng, cfg_.executors);
   const sim::Time start = eng.now();
   // Each executor's coroutine runs on its machine's lane end to end (its
   // QPs are local, so verb completions resume it on the same lane).
   if (cfg_.direction == Direction::kPull) {
     for (auto& ex : executors_)
-      eng.spawn_on(ex->machine + 1, run_producer(ex.get(), staged));
+      eng.spawn_on(ex->machine + 1, run_producer(ex.get()));
     for (auto& ex : executors_)
-      eng.spawn_on(ex->machine + 1, run_puller(ex.get(), staged, done));
+      eng.spawn_on(ex->machine + 1, run_puller(ex.get(), done));
   } else {
     for (auto& ex : executors_)
       eng.spawn_on(ex->machine + 1, run_executor(ex.get(), done));

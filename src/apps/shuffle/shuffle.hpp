@@ -96,9 +96,8 @@ class Shuffle {
  private:
   struct Executor;
   sim::Task run_executor(Executor* ex, sim::CountdownLatch& done);
-  sim::Task run_producer(Executor* ex, sim::CountdownLatch& staged);
-  sim::Task run_puller(Executor* ex, sim::CountdownLatch& staged,
-                       sim::CountdownLatch& done);
+  sim::Task run_producer(Executor* ex);
+  sim::Task run_puller(Executor* ex, sim::CountdownLatch& done);
 
   std::vector<verbs::Context*> ctxs_;
   Config cfg_;

@@ -19,10 +19,7 @@ class NumaTopology {
   explicit NumaTopology(const ModelParams& p) : p_(p) {}
 
   std::uint32_t sockets() const { return p_.sockets_per_machine; }
-  std::uint32_t cores_per_socket() const { return p_.cores_per_socket; }
   SocketId rnic_socket() const { return p_.rnic_socket; }
-
-  bool same_socket(SocketId a, SocketId b) const { return a == b; }
 
   // Extra latency a CPU on `core_socket` pays to reach memory on
   // `mem_socket` (0 if local).

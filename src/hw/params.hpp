@@ -176,7 +176,6 @@ struct ModelParams {
 
   // ---- Topology ------------------------------------------------------------
   std::uint32_t sockets_per_machine = 2;
-  std::uint32_t cores_per_socket = 8;
   std::uint32_t rnic_ports = 2;          // ConnectX-3 dual port
   std::uint32_t rnic_socket = 1;         // the paper: NIC on socket 1
   std::uint32_t machines = 8;

@@ -39,7 +39,6 @@ class BenchReport {
   void add(BenchRow row) { points_.push_back(std::move(row)); }
   void absorb(const StageBreakdown& b) { stages_.merge(b); }
   const StageBreakdown& stages() const { return stages_; }
-  std::size_t point_count() const { return points_.size(); }
 
   void set_trace_file(std::string path) { trace_file_ = std::move(path); }
   // Raw JSON object string (MetricsRegistry::json()) embedded verbatim.

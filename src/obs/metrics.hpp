@@ -63,10 +63,6 @@ class MetricsRegistry {
   void sample(sim::Time now);
   std::size_t sample_count() const { return series_.size(); }
 
-  std::size_t counter_count() const { return counters_.size(); }
-  std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t histogram_count() const { return hists_.size(); }
-
   // {"counters":{...},"gauges":{...},"histograms":{...},"series":{...}}
   std::string json() const;
   // time_us,<metric>,<metric>,... one row per sample.

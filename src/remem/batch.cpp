@@ -45,6 +45,7 @@ sim::TaskT<verbs::Completion> Batcher::flush(verbs::Opcode op,
                                              std::uint32_t rkey) {
   RDMASEM_CHECK_MSG(op == verbs::Opcode::kWrite || op == verbs::Opcode::kRead,
                     "a batch flush is a WRITE or a READ");
+  RDMASEM_CHECK_MSG(!items.empty(), "an empty batch has nothing to flush");
   if (mode_ == BatchMode::kSp) return flush_sp(op, items, remote_base, rkey);
   if (mode_ == BatchMode::kSgl) {
     RDMASEM_CHECK_MSG(items.size() <= qp_.context().params().rnic_max_sge,

@@ -50,6 +50,7 @@ class Batcher {
   // Moves every item to the peer (`op` = kWrite) or fetches it into its
   // local piece (`op` = kRead). Resumes when the last WR completes and
   // returns its completion; kNone stops at and returns the first failure.
+  // An empty `items` aborts in every mode: a flush moves at least one piece.
   sim::TaskT<verbs::Completion> flush(verbs::Opcode op,
                                       std::span<const BatchItem> items,
                                       std::uint64_t remote_base,

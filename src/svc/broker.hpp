@@ -93,7 +93,6 @@ class Broker {
   sim::TaskT<SubmitResult> submit(TenantId tenant, verbs::WorkRequest wr);
 
   verbs::Context& context() { return *ctx_; }
-  std::size_t pool_size() const { return pool_.size(); }
   // Ops currently waiting on admission (throttle + pool).
   std::size_t queue_depth() const { return waiting_; }
 

@@ -29,8 +29,6 @@ enum class Variant : std::uint8_t {
   kStaleLease,
 };
 
-inline bool is_known_incorrect(Variant v) { return v != Variant::kCorrect; }
-
 inline const char* to_string(Variant v) {
   switch (v) {
     case Variant::kCorrect: return "correct";

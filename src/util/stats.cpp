@@ -6,29 +6,6 @@
 
 namespace rdmasem::util {
 
-void RunningStat::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStat::clear() { *this = RunningStat{}; }
-
-double RunningStat::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 double Samples::mean() const {
   if (xs_.empty()) return 0.0;
   double s = 0.0;

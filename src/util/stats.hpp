@@ -6,29 +6,6 @@
 
 namespace rdmasem::util {
 
-// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStat {
- public:
-  void add(double x);
-  void clear();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  // sample variance; 0 for n < 2
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 // Reservoir-free exact percentile tracker: stores all samples.
 // Suitable for the bench harness where sample counts are modest (<=1e7).
 class Samples {

@@ -477,7 +477,7 @@ TEST(Determinism, GoldenShufflePushAfterUnrelatedState) {
 
 TEST(Determinism, GoldenShufflePull) {
   expect_golden(shuffle_golden(sh::Direction::kPull), 0x8f53dce3076a44c5ULL,
-                221788517, 14624);
+                221788517, 14616);
 }
 
 TEST(Determinism, GoldenJoin) {

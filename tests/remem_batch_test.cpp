@@ -193,6 +193,20 @@ TEST(BatchersDeathTest, FlushIsOnlyWriteOrRead) {
   EXPECT_DEATH(flush_as(v::Opcode::kFetchAdd), "WRITE or a READ");
 }
 
+// One rule for every mode and direction: a flush with no items aborts at
+// the call, before any WR is built.
+TEST(BatchersDeathTest, EmptyFlushAborts) {
+  auto flush_empty = [](BatchMode mode, v::Opcode op) {
+    BatchRig rig;
+    remem::Batcher b(*rig.conn.local, mode, 64);
+    (void)b.flush(op, {}, rig.rmr->addr, rig.rmr->key);
+  };
+  for (auto mode : {BatchMode::kNone, BatchMode::kSgl, BatchMode::kSp,
+                    BatchMode::kDoorbell})
+    for (auto op : {v::Opcode::kWrite, v::Opcode::kRead})
+      EXPECT_DEATH(flush_empty(mode, op), "empty batch");
+}
+
 // Every mode, both directions: random piece sizes (1..64 B), random local
 // strides and up to rnic_max_sge items, checked against a plain memcpy
 // reference of both buffers. kNone and kDoorbell must honour each item's

@@ -13,43 +13,6 @@
 
 namespace u = rdmasem::util;
 
-TEST(RunningStat, Empty) {
-  u::RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, SingleValue) {
-  u::RunningStat s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, KnownMoments) {
-  u::RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of that set is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, ClearResets) {
-  u::RunningStat s;
-  s.add(1.0);
-  s.add(2.0);
-  s.clear();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.sum(), 0.0);
-}
-
 TEST(Samples, PercentileNearestRank) {
   u::Samples s;
   for (int i = 1; i <= 100; ++i) s.add(i);
