@@ -89,6 +89,9 @@ EP_KEYS = {
     "dispatch_ns": int,
     "wall_ns": int,
     "max_queue_depth": int,
+    "spill_pushes": int,
+    "far_pushes": int,
+    "behind_pushes": int,
     "accounted_share": (int, float),
 }
 

@@ -101,10 +101,11 @@ def report_engine_profile(name, ep, min_accounted):
     acct = ep["accounted_share"]
     print(fmt_table(
         ["events", "inline", "dispatch_ms", "wall_ms", "accounted",
-         "max_qd"],
+         "max_qd", "spill", "far", "behind"],
         [[str(ep["events"]), str(ep["inline_grants"]),
           ms(ep["dispatch_ns"]), ms(ep["wall_ns"]), f"{acct:.3f}",
-          str(ep["max_queue_depth"])]]))
+          str(ep["max_queue_depth"]), str(ep["spill_pushes"]),
+          str(ep["far_pushes"]), str(ep["behind_pushes"])]]))
     if acct < min_accounted:
         die(f"{name}: accounted share {acct:.3f} below "
             f"--min-accounted {min_accounted}")

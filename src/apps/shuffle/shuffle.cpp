@@ -9,13 +9,39 @@
 namespace rdmasem::apps::shuffle {
 
 namespace {
-// Order-independent checksum of one entry's bytes.
+// One entry of `size` bytes (at least the 8-byte key): the key, then
+// payload words key ^ (offset * golden ratio), the last one cut short when
+// the size is not a multiple of 8. Whole words are fixed 8-byte copies, so
+// they compile to single stores.
+void fill_entry(std::byte* rec, std::uint64_t key, std::size_t size) {
+  std::memcpy(rec, &key, 8);
+  std::size_t b = 8;
+  for (; b + 8 <= size; b += 8) {
+    const std::uint64_t w = key ^ (b * 0x9e3779b97f4a7c15ULL);
+    std::memcpy(rec + b, &w, 8);
+  }
+  if (b < size) {
+    const std::uint64_t w = key ^ (b * 0x9e3779b97f4a7c15ULL);
+    std::memcpy(rec + b, &w, size - b);
+  }
+}
+
+// Order-independent checksum of one entry's bytes: FNV-1a over 8-byte
+// little-endian words, a short tail zero-extended to a word. Whole words
+// are fixed 8-byte loads.
 std::uint64_t entry_checksum(const std::byte* p, std::size_t n) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
   std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; i += 8) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h = (h ^ w) * kPrime;
+  }
+  if (i < n) {
     std::uint64_t w = 0;
-    std::memcpy(&w, p + i, std::min<std::size_t>(8, n - i));
-    h = (h ^ w) * 1099511628211ULL;
+    std::memcpy(&w, p + i, n - i);
+    h = (h ^ w) * kPrime;
   }
   return h;
 }
@@ -61,6 +87,7 @@ Shuffle::~Shuffle() = default;
 Shuffle::Shuffle(std::vector<verbs::Context*> ctxs, const Config& cfg)
     : ctxs_(std::move(ctxs)), cfg_(cfg) {
   RDMASEM_CHECK_MSG(!ctxs_.empty(), "no contexts");
+  RDMASEM_CHECK_MSG(cfg_.entry_size >= 8, "an entry holds its 8-byte key");
   const std::uint32_t n = cfg_.executors;
   const auto& p = ctxs_[0]->params();
 
@@ -152,11 +179,7 @@ sim::Task Shuffle::run_executor(Executor* ex, sim::CountdownLatch& done) {
                                           : rng.next();
     const std::uint32_t dst = dest_of(key, n);
     std::byte* rec = ex->send_buf.data() + ex->gen_off;
-    std::memcpy(rec, &key, 8);
-    for (std::size_t b = 8; b < cfg_.entry_size; b += 8) {
-      const std::uint64_t w = key ^ (b * 0x9e3779b97f4a7c15ULL);
-      std::memcpy(rec + b, &w, std::min<std::size_t>(8, cfg_.entry_size - b));
-    }
+    fill_entry(rec, key, cfg_.entry_size);
     sent_checksum_ += entry_checksum(rec, cfg_.entry_size);
     co_await sim::delay(eng, p.cpu_tuple_work + p.cpu_hash);
 
@@ -202,11 +225,7 @@ sim::Task Shuffle::run_producer(Executor* ex) {
     std::byte* rec = ex->stage_buf.data() +
                      (static_cast<std::uint64_t>(dst) * ex->pair_capacity +
                       ex->sent_count[dst]) * cfg_.entry_size;
-    std::memcpy(rec, &key, 8);
-    for (std::size_t b = 8; b < cfg_.entry_size; b += 8) {
-      const std::uint64_t w = key ^ (b * 0x9e3779b97f4a7c15ULL);
-      std::memcpy(rec + b, &w, std::min<std::size_t>(8, cfg_.entry_size - b));
-    }
+    fill_entry(rec, key, cfg_.entry_size);
     sent_checksum_ += entry_checksum(rec, cfg_.entry_size);
     ++ex->sent_count[dst];
     co_await sim::delay(eng, p.cpu_tuple_work + p.cpu_hash +

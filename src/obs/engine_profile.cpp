@@ -26,13 +26,16 @@ void EngineProfileAccum::absorb(const sim::EngineProfile& p) {
     row_.dispatch_ns += s.dispatch_ns;
     row_.wall_ns += s.wall_ns;
     row_.max_queue_depth = std::max(row_.max_queue_depth, s.max_queue_depth);
+    row_.spill_pushes += s.spill_pushes;
+    row_.far_pushes += s.far_pushes;
+    row_.behind_pushes += s.behind_pushes;
   }
 }
 
 std::string EngineProfileAccum::render() const {
   if (empty()) return {};
   util::Table t({"runs", "events", "inline", "dispatch_ms", "wall_ms",
-                 "accounted", "max_qdepth"});
+                 "accounted", "max_qdepth", "spill", "far", "behind"});
   t.set_title("engine profile");
   const sim::ShardProfile& r = row_;
   t.add_row({std::to_string(runs_), std::to_string(r.events),
@@ -40,7 +43,9 @@ std::string EngineProfileAccum::render() const {
              util::fmt(static_cast<double>(r.dispatch_ns) / 1e6, 2),
              util::fmt(static_cast<double>(r.wall_ns) / 1e6, 2),
              util::fmt(accounted_share(r), 3),
-             std::to_string(r.max_queue_depth)});
+             std::to_string(r.max_queue_depth),
+             std::to_string(r.spill_pushes), std::to_string(r.far_pushes),
+             std::to_string(r.behind_pushes)});
   return t.render();
 }
 
@@ -53,6 +58,9 @@ std::string EngineProfileAccum::json() const {
   out += ", \"dispatch_ns\": " + std::to_string(r.dispatch_ns);
   out += ", \"wall_ns\": " + std::to_string(r.wall_ns);
   out += ", \"max_queue_depth\": " + std::to_string(r.max_queue_depth);
+  out += ", \"spill_pushes\": " + std::to_string(r.spill_pushes);
+  out += ", \"far_pushes\": " + std::to_string(r.far_pushes);
+  out += ", \"behind_pushes\": " + std::to_string(r.behind_pushes);
   out += ", \"accounted_share\": " + json_num(accounted_share(r), 6);
   out += "}\n";
   return out;

@@ -188,11 +188,16 @@ EngineProfile Engine::drain_profile() {
   ShardProfile row = prof_row_;
   row.events = processed_ - prof_events_base_;
   row.max_queue_depth = queue_.max_size();
+  const EventQueue::OverflowPushes& o = queue_.overflow_pushes();
+  row.spill_pushes = o.spill;
+  row.far_pushes = o.far;
+  row.behind_pushes = o.behind;
   p.shard.push_back(row);
   // Start a new profiling window.
   prof_row_ = ShardProfile{};
   prof_events_base_ = processed_;
   queue_.reset_max_size();
+  queue_.reset_overflow_pushes();
   prof_runs_ = 0;
   return p;
 }

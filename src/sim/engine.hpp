@@ -45,14 +45,21 @@ inline thread_local ExecContext t_exec{};
 // is byte-identical to an unprofiled one (tests/obs_profiler_test.cpp
 // asserts this).
 //
-// The inline_grants / max_queue_depth counters are cheap enough to
-// maintain unconditionally; only the steady_clock reads are gated.
+// The inline_grants / max_queue_depth / *_pushes counters are cheap
+// enough to maintain unconditionally; only the steady_clock reads are
+// gated.
 struct ShardProfile {
   std::uint64_t events = 0;           // events dispatched (incl. inline grants)
   std::uint64_t inline_grants = 0;    // suspensions elided by the fast path
   std::uint64_t dispatch_ns = 0;      // inside the event-dispatch loop
   std::uint64_t wall_ns = 0;          // whole-run wall time
   std::uint64_t max_queue_depth = 0;  // event-queue high-water mark
+  // Pushes that took the event queue's overflow heap, by reason (see
+  // EventQueue::OverflowPushes): a full bucket at or after the cursor,
+  // past the ring's horizon, behind the cursor with its bucket full.
+  std::uint64_t spill_pushes = 0;
+  std::uint64_t far_pushes = 0;
+  std::uint64_t behind_pushes = 0;
 };
 
 // One profiling window. `shard` holds exactly one row, the engine's; it

@@ -24,23 +24,31 @@ void EventQueue::clear() {
   overflow_at_ = kNoOverflow;
   size_ = 0;
   max_size_ = 0;
+  overflow_pushes_ = {};
   cur_slot_ = 0;
   head_ = 0;
 }
 
 void EventQueue::push_slow(const Event& ev) {
-  // The cursor bucket, if it has room; otherwise past the horizon, behind
-  // the cursor (after run_until() parked the clock below the next event,
-  // or after a peek moved the cursor past the clock's bucket) or a full
-  // bucket — the overflow heap takes all of those, and pop() compares its
-  // front with the ring's.
-  if ((ev.at >> kSlotShift) == cur_slot_ && insert_cursor(ev)) return;
+  // At or behind the cursor: the cursor bucket, if it has room. Otherwise
+  // a full bucket or past the horizon — the overflow heap takes those,
+  // and pop() compares its front with the ring's.
+  const std::uint64_t slot = ev.at >> kSlotShift;
+  if (slot <= cur_slot_) {
+    if (insert_cursor(ev)) return;
+    ++(slot == cur_slot_ ? overflow_pushes_.spill : overflow_pushes_.behind);
+  } else if (slot - cur_slot_ >= kBuckets) {
+    ++overflow_pushes_.far;
+  } else {
+    ++overflow_pushes_.spill;
+  }
   push_overflow(ev);
 }
 
 // Inserts into the cursor bucket, which pop reads from head_ and so is
-// kept sorted there. A full bucket first drops its consumed prefix.
-// Returns false when the bucket is full of live events.
+// kept sorted there; an event behind the cursor sorts to the front. A
+// full bucket first drops its consumed prefix. Returns false when the
+// bucket is full of live events.
 bool EventQueue::insert_cursor(const Event& ev) {
   const std::uint32_t ci = cur_index();
   const std::uint32_t base = ci * kBucketCap;

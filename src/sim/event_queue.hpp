@@ -147,14 +147,19 @@ inline bool event_after(const Event& a, const Event& b) {
 //     through a head index, so dispatch is O(1) per event. Pushes into
 //     the cursor bucket insert in key order — an append when the key is
 //     past the bucket maximum (the common monotone case: per-lane seq
-//     counters only grow), a short shift otherwise.
+//     counters only grow), a short shift otherwise. Pushes BEHIND the
+//     cursor (earlier than its bucket) insert there too, at the front:
+//     the cursor bucket is the one sorted run pop() reads, and anything
+//     earlier than its slot still precedes every later bucket. Such
+//     pushes follow a peek() that walked the cursor past the clock's
+//     empty bucket (the engine's inline check peeks between pops) or a
+//     run_until() that parked the clock below the next event.
 //   * overflow: a (at, seq) min-heap for events past the ring horizon
-//     (retransmit timers, lease timers, fault windows), behind the cursor
-//     (after run_until parked the clock, or a peek moved the cursor past
-//     the clock's bucket), or pushed into a full bucket. When the ring drains, the window re-anchors at the overflow
-//     minimum and one horizon's worth of events migrates into the ring
-//     (each event migrates at most once; a full bucket ends the
-//     migration early).
+//     (retransmit timers, lease timers, fault windows) and for pushes
+//     into a full bucket. When the ring drains, the window re-anchors at
+//     the overflow minimum and one horizon's worth of events migrates
+//     into the ring (each event migrates at most once; a full bucket ends
+//     the migration early).
 //
 // pop() returns the smaller of the cursor-bucket head and the heap front,
 // so an event may sit in either tier. The header-inline fast paths —
@@ -237,6 +242,17 @@ class EventQueue {
     return {best.at, best.seq};
   }
 
+  // Pushes that took the overflow heap, by reason, since construction /
+  // clear() / reset_overflow_pushes(). Counted on the slow path only; the
+  // engine profiler (RDMASEM_PROF) reports them per drain window.
+  struct OverflowPushes {
+    std::uint64_t spill = 0;   // at or past the cursor, into a full bucket
+    std::uint64_t far = 0;     // past the ring's horizon
+    std::uint64_t behind = 0;  // behind the cursor, its bucket full
+  };
+  const OverflowPushes& overflow_pushes() const { return overflow_pushes_; }
+  void reset_overflow_pushes() { overflow_pushes_ = {}; }
+
   // Drops every queued event (engine teardown), freeing callable boxes.
   // The slab and the heap's capacity are kept.
   void clear();
@@ -298,6 +314,7 @@ class EventQueue {
   std::uint32_t head_ = 0;
   std::size_t size_ = 0;
   std::size_t max_size_ = 0;
+  OverflowPushes overflow_pushes_;
 };
 
 }  // namespace rdmasem::sim

@@ -2,28 +2,30 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <memory>
-#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "util/assert.hpp"
 
 namespace rdmasem::util {
 
-// SmallVec<T, N> — a vector with inline storage for the first N elements.
+// SmallVec<T, N, Alloc> — a vector with inline storage for the first N
+// elements.
 //
 // Motivated by verbs::WorkRequest::sg_list: almost every WR carries a
 // single SGE (the paper's workloads are single-buffer writes/reads), yet a
 // std::vector puts even that one element on the heap — one allocation and
 // one free per posted WR, which dominates the datapath once frames and
 // staging buffers are pooled. With inline storage the common shapes
-// (1..N SGEs) never touch the allocator; longer lists spill to the heap
-// exactly like a vector.
+// (1..N SGEs) never touch the allocator. Longer lists (an SGL batch
+// gathers up to rnic_max_sge pieces) spill to a block from `Alloc`, a
+// class with static `allocate(bytes)` and `deallocate(p, bytes)`, such as
+// a size-class pool whose recycled blocks make the spill allocation-free.
 //
 // Only the slice of the vector API the WR plumbing uses is provided:
 // trivially-copyable T, brace-init assignment, reserve/push_back, random
 // access and iteration. Growth keeps amortized O(1) doubling.
-template <typename T, std::size_t N>
+template <typename T, std::size_t N, typename Alloc>
 class SmallVec {
   static_assert(std::is_trivially_copyable_v<T>,
                 "SmallVec is restricted to trivially-copyable elements");
@@ -126,7 +128,7 @@ class SmallVec {
   void grow(std::size_t want) {
     std::size_t cap = cap_;
     while (cap < want) cap *= 2;
-    T* fresh = static_cast<T*>(::operator new(cap * sizeof(T)));
+    T* fresh = static_cast<T*>(Alloc::allocate(cap * sizeof(T)));
     const T* src = data();
     for (std::size_t i = 0; i < size_; ++i) fresh[i] = src[i];
     release();
@@ -136,7 +138,7 @@ class SmallVec {
 
   void release() {
     if (heap_ != nullptr) {
-      ::operator delete(static_cast<void*>(heap_));
+      Alloc::deallocate(heap_, cap_ * sizeof(T));
       heap_ = nullptr;
       cap_ = N;
     }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "sim/size_class_pool.hpp"
 #include "sim/time.hpp"
 #include "util/small_vec.hpp"
 
@@ -94,8 +95,9 @@ struct WorkRequest {
   Opcode opcode = Opcode::kWrite;
   // Local gather (WRITE/SEND) or scatter target (READ); result buffer
   // (atomics). Inline storage for 4 SGEs: posting the common WR shapes
-  // never allocates (longer lists spill to the heap like a vector).
-  util::SmallVec<Sge, 4> sg_list;
+  // never allocates, and longer lists (SGL batches of up to rnic_max_sge)
+  // spill to recycled FramePool blocks.
+  util::SmallVec<Sge, 4, sim::FramePool> sg_list;
   std::uint64_t remote_addr = 0;  // one-sided target
   std::uint32_t rkey = 0;
   std::uint64_t compare = 0;      // kCompSwap: expected value

@@ -451,4 +451,32 @@ TEST_P(EventQueueDifferential, BurstsSpillAndClearMidRun) {
   EXPECT_TRUE(h.q.empty());
 }
 
+// The engine's inline-wakeup check peeks between pops. With the clock's
+// bucket drained, a peek walks the cursor to the next occupied bucket,
+// past the clock; pushes between the clock and that bucket then land
+// behind the cursor and sort into the front of the cursor bucket. Mixed
+// with parking and random traffic, pops must keep (at, seq) order.
+TEST_P(EventQueueDifferential, PeekThenPushBehindCursor) {
+  QueueHarness h(static_cast<std::uint64_t>(GetParam()) + 2000);
+  for (int step = 0; step < 12000; ++step) {
+    const auto op = h.rng.uniform(10);
+    if (op < 3 || h.ref.empty()) {
+      h.push_random();
+    } else if (op < 6) {
+      ASSERT_NO_FATAL_FAILURE(h.pop_one());
+    } else if (op == 6) {
+      ASSERT_NO_FATAL_FAILURE(h.park(h.now + h.rng.uniform(1u << 22)));
+    } else {
+      const RefEvent next = h.ref.top();
+      ASSERT_EQ(h.q.peek().first, next.at);
+      ASSERT_EQ(h.q.peek().second, next.seq);
+      for (int k = 1 + static_cast<int>(h.rng.uniform(4)); k > 0; --k)
+        h.push(h.now + h.rng.uniform(next.at - h.now + 1));
+    }
+    ASSERT_NO_FATAL_FAILURE(h.expect_same_size());
+  }
+  ASSERT_NO_FATAL_FAILURE(h.drain(1 << 30));
+  EXPECT_TRUE(h.q.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential, ::testing::Range(0, 10));

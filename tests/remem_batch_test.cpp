@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -8,6 +11,24 @@
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"
 #include "testbed.hpp"
+#include "util/sanitizer.hpp"
+
+// Counts global-allocator hits in this test binary, for
+// Batchers.SglFlushIsAllocationFree. Under ASan the sanitizer keeps its
+// own operator new.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+#if !RDMASEM_ASAN
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
 
 namespace v = rdmasem::verbs;
 namespace sim = rdmasem::sim;
@@ -82,6 +103,39 @@ TEST(Batchers, SglMovesDataCorrectly) {
   remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
   rig.flush_mops(sgl, 8, 1);
   EXPECT_TRUE(rig.remote_matches_gather(8));
+}
+
+// An SGL flush of rnic_max_sge pieces builds one WR whose gather list
+// outgrows SmallVec's 4 inline SGEs. Once warm, that spill (and the rest
+// of the WR's path) is served from recycled pool blocks: steady-state
+// flushes make no global-allocator call.
+TEST(Batchers, SglFlushIsAllocationFree) {
+#if RDMASEM_ASAN
+  GTEST_SKIP() << "under ASan the pools pass every block to the allocator";
+#else
+  BatchRig rig;
+  remem::Batcher sgl(*rig.conn.local, BatchMode::kSgl);
+  const std::size_t n = rig.tb.ctx[0]->params().rnic_max_sge;
+  std::uint64_t steady_allocs = ~std::uint64_t{0};
+  auto task = [](BatchRig& r, remem::Batcher& b, std::size_t nn,
+                 std::uint64_t& out) -> sim::Task {
+    const auto its = r.items(nn);
+    const auto flush = [&]() -> sim::TaskT<void> {
+      const auto c =
+          co_await b.flush(v::Opcode::kWrite, its, r.rmr->addr, r.rmr->key);
+      EXPECT_TRUE(c.ok());
+    };
+    for (int i = 0; i < 8; ++i) co_await flush();
+    const std::uint64_t before = g_heap_allocs.load();
+    for (int i = 0; i < 64; ++i) co_await flush();
+    out = g_heap_allocs.load() - before;
+  };
+  rig.tb.eng.spawn(task(rig, sgl, n, steady_allocs));
+  rig.tb.eng.run();
+  EXPECT_TRUE(rig.remote_matches_gather(n));
+  EXPECT_EQ(steady_allocs, 0u) << "allocations over 64 flushes of " << n
+                               << " SGEs";
+#endif
 }
 
 TEST(Batchers, DoorbellMovesDataToPerItemAddresses) {

@@ -320,3 +320,30 @@ TEST(EventQueueEdge, ClearDropsEverythingAndKeepsWorking) {
   EXPECT_EQ(q.pop().at, 5u);
   EXPECT_TRUE(q.empty());
 }
+
+// A peek that finds the cursor bucket empty walks the cursor to the next
+// occupied bucket, here ~100 ns past the clock. A push between the clock
+// and that bucket then lies behind the cursor: it must stay in the ring
+// (sorted into the cursor bucket's front) and pop first, and the overflow
+// heap must take only what does not fit: a push past the horizon, and a
+// push behind the cursor once the cursor bucket holds its 16 events.
+TEST(EventQueueEdge, PushBehindPeekedCursorStaysInRing) {
+  sim::EventQueue q;
+  q.push(sim::Event{sim::ns(100), 0});
+  EXPECT_EQ(q.peek().first, sim::ns(100));  // cursor now at 100 ns's bucket
+  q.push(sim::Event{sim::ns(1), 1});
+  EXPECT_EQ(q.overflow_pushes().behind, 0u);
+  EXPECT_EQ(q.peek().first, sim::ns(1));
+  for (std::uint64_t k = 2; k < sim::EventQueue::kBucketCap + 1; ++k)
+    q.push(sim::Event{sim::ns(2), k});
+  EXPECT_EQ(q.overflow_pushes().behind, 1u);  // seq 16 found it full
+  q.push(sim::Event{sim::ms(1), 100});
+  EXPECT_EQ(q.overflow_pushes().far, 1u);
+  EXPECT_EQ(q.overflow_pushes().spill, 0u);
+  const std::uint64_t want[] = {1, 2,  3,  4,  5,  6,  7,  8, 9,
+                                10, 11, 12, 13, 14, 15, 16, 0, 100};
+  for (const std::uint64_t seq : want) EXPECT_EQ(q.pop().seq, seq);
+  EXPECT_TRUE(q.empty());
+  q.clear();
+  EXPECT_EQ(q.overflow_pushes().far, 0u);
+}
