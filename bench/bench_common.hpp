@@ -13,24 +13,37 @@
 // Points run in declaration order only because each report's committed
 // table row order pins it: a point's results depend on its config alone.
 //
+// The closed loops the figures share are written once, here:
+// batcher_mops (Figs. 3-5), hashtable_mops (Figs. 12, 13,
+// ext_hashtable_mixed), join_seconds (Figs. 16, 17), shuffle_mops
+// (Fig. 15, ext_push_pull) and dlog_mops (Fig. 19, ext_replication).
+//
 // Workload sizes honor the RDMASEM_* environment knobs (README) so the
 // paper-scale runs are reproducible on bigger machines.
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "apps/dlog/dlog.hpp"
+#include "apps/hashtable/hashtable.hpp"
+#include "apps/join/join.hpp"
+#include "apps/shuffle/shuffle.hpp"
 #include "obs/attr.hpp"
 #include "obs/bench_export.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/engine_profile.hpp"
 #include "obs/json.hpp"
 #include "remem/batch.hpp"
+#include "sim/rng.hpp"
 #include "util/env.hpp"
 #include "util/table.hpp"
 #include "wl/microbench.hpp"
 #include "wl/rig.hpp"
+#include "wl/zipf.hpp"
 
 namespace rdmasem::bench {
 
@@ -282,6 +295,100 @@ inline double batcher_mops(remem::BatchMode mode, std::uint32_t size,
   rig.eng.run();
   return static_cast<double>(batch) * static_cast<double>(reps) * threads /
          sim::to_us(end) / threads;
+}
+
+// --- app drivers (§IV figures) ---------------------------------------------
+//
+// Each driver runs one sweep point on a fresh rig, checks the app's own
+// result and returns the number the table row prints. A point depends on
+// its arguments (and the RDMASEM_* size knobs) alone, so a sweep runs a
+// config that two panels share once. `after(rig, app)` runs after the
+// check, before the rig dies: where a bench folds the run into its report
+// or reads more than the one number.
+
+struct NoAfter {
+  template <typename... A>
+  void operator()(A&&...) const {}
+};
+
+// Hashtable front-end loop (Figs. 12, 13, ext_hashtable_mixed): a table of
+// RDMASEM_HT_KEYS keys on machine 0 and `front_ends` front-ends, front-end
+// i on machine 1 + i % 7, socket (i / 7) % 2, each driving 4 pipelined
+// workers. Worker `id` issues RDMASEM_HT_OPS ops on zipf(0.99) keys seeded
+// `zipf_seed + id`; each op is a put, or a get with probability
+// 1 - write_fraction (coin seeded 900 + id). Returns MOPS up to the last
+// worker's end.
+inline double hashtable_mops(apps::hashtable::Config cfg,
+                             std::uint32_t front_ends, std::uint64_t zipf_seed,
+                             double write_fraction = 1.0) {
+  namespace ht = apps::hashtable;
+  wl::Rig rig;
+  cfg.num_keys = util::env_u64("RDMASEM_HT_KEYS", 1 << 14);
+  ht::DisaggHashTable table(*rig.ctx[0], cfg);
+  const std::uint32_t pipeline = 4;
+  const std::uint64_t ops = util::env_u64("RDMASEM_HT_OPS", 600);
+  std::vector<std::unique_ptr<ht::FrontEnd>> fes;
+  sim::Time end = 0;
+  const std::vector<std::byte> value(cfg.value_size);
+  for (std::uint32_t i = 0; i < front_ends; ++i) {
+    fes.push_back(table.add_front_end(*rig.ctx[1 + i % 7], (i / 7) % 2));
+    for (std::uint32_t w = 0; w < pipeline; ++w) {
+      auto loop = [](wl::Rig& r, ht::FrontEnd& f, std::uint64_t keys,
+                     std::uint64_t zipf_id, std::uint64_t coin_id,
+                     std::uint64_t n, double wf, std::span<const std::byte> v,
+                     sim::Time& e) -> sim::Task {
+        wl::ZipfGenerator zipf(keys, 0.99, zipf_id);
+        sim::Rng coin(coin_id);
+        for (std::uint64_t k = 0; k < n; ++k) {
+          const std::uint64_t key = zipf.next();
+          if (coin.chance(wf))
+            co_await f.put(key, v);
+          else
+            (void)co_await f.get(key);
+        }
+        e = std::max(e, r.eng.now());
+      };
+      const std::uint32_t id = i * pipeline + w;
+      rig.eng.spawn(loop(rig, *fes.back(), cfg.num_keys, zipf_seed + id,
+                         900 + id, ops, write_fraction, value, end));
+    }
+  }
+  rig.eng.run();
+  return static_cast<double>(front_ends) * pipeline *
+         static_cast<double>(ops) / sim::to_us(end);
+}
+
+// Distributed join (Figs. 16, 17): simulated seconds of one checked run.
+inline double join_seconds(const apps::join::Config& cfg) {
+  wl::Rig rig;
+  const auto r = apps::join::run_join(rig.contexts(), cfg);
+  RDMASEM_CHECK_MSG(r.verified(), "join produced wrong match count");
+  return r.seconds;
+}
+
+// Distributed shuffle (Fig. 15, ext_push_pull): MOPS of one run whose
+// received checksum matches the sent one.
+template <typename After = NoAfter>
+double shuffle_mops(const apps::shuffle::Config& cfg, After after = {}) {
+  wl::Rig rig;
+  apps::shuffle::Shuffle s(rig.contexts(), cfg);
+  const auto r = s.run();
+  RDMASEM_CHECK_MSG(s.received_checksum() == s.sent_checksum(),
+                    "shuffle corrupted data");
+  after(rig, s);
+  return r.mops;
+}
+
+// Distributed log (Fig. 19, ext_replication): MOPS of one run whose log
+// is dense and intact.
+template <typename After = NoAfter>
+double dlog_mops(const apps::dlog::Config& cfg, After after = {}) {
+  wl::Rig rig;
+  apps::dlog::DistributedLog log(rig.contexts(), cfg);
+  const double mops = log.run().mops;
+  RDMASEM_CHECK_MSG(log.verify_dense_and_intact(), "log corrupted");
+  after(rig, log);
+  return mops;
 }
 
 // Table cell for the errors column of a paper-style table.

@@ -4,7 +4,6 @@
 // Sweep the transfer granularity: the write/read asymmetry dominates at
 // per-entry granularity and washes out once chunks are bandwidth-bound.
 
-#include "apps/shuffle/shuffle.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -18,18 +17,13 @@ FigureCollector collector(
     {"chunk_entries", "push", "pull", "push_advantage"});
 
 double run_dir(sh::Direction dir, std::uint32_t chunk) {
-  wl::Rig rig;
   sh::Config cfg;
   cfg.executors = 8;
   cfg.entries_per_executor = util::env_u64("RDMASEM_SHUFFLE_ENTRIES", 3000);
   cfg.direction = dir;
   cfg.batch = chunk <= 1 ? sh::BatchMode::kNone : sh::BatchMode::kSgl;
   cfg.batch_size = chunk;
-  sh::Shuffle s(rig.contexts(), cfg);
-  const auto r = s.run();
-  RDMASEM_CHECK_MSG(s.received_checksum() == s.sent_checksum(),
-                    "shuffle corrupted data");
-  return r.mops;
+  return bench::shuffle_mops(cfg);
 }
 
 void sweep() {

@@ -4,13 +4,11 @@
 // primary (Tailwind-style), so the marginal cost is bandwidth + the
 // slowest copy, not extra round trips.
 
-#include "apps/dlog/dlog.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace rdmasem;
-namespace dl = apps::dlog;
 using bench::FigureCollector;
 
 FigureCollector collector(
@@ -21,16 +19,15 @@ FigureCollector collector(
 void sweep() {
   double base = 0;
   for (const std::uint32_t replicas : {1, 2, 3, 4}) {
-    wl::Rig rig;
-    dl::Config cfg;
-    cfg.engines = 7;
-    cfg.records_per_engine = util::env_u64("RDMASEM_DLOG_RECORDS", 2048);
-    cfg.batch_size = 16;
-    cfg.replicas = replicas;
-    dl::DistributedLog log(rig.contexts(), cfg);
-    const double mops = log.run().mops;
-    RDMASEM_CHECK_MSG(log.verify_dense_and_intact(), "log corrupted");
-    const bool identical = log.verify_replicas_identical();
+    bool identical = false;
+    const double mops = bench::dlog_mops(
+        {.engines = 7,
+         .records_per_engine = util::env_u64("RDMASEM_DLOG_RECORDS", 2048),
+         .batch_size = 16,
+         .replicas = replicas},
+        [&identical](wl::Rig&, apps::dlog::DistributedLog& log) {
+          identical = log.verify_replicas_identical();
+        });
     if (replicas == 1) base = mops;
     collector.add({std::to_string(replicas), util::fmt(mops),
                    base > 0 ? util::fmt(mops / base) + "x" : "-",

@@ -7,10 +7,12 @@
 // ping-pong); remote degrades least and backoff holds it up; remote
 // sequencer flat at ~2.4-2.6 MOPS; RPC lowest (server-CPU-bound).
 
+#include <deque>
+#include <type_traits>
+
 #include "bench_common.hpp"
 #include "remem/atomics.hpp"
 #include "remem/rpc.hpp"
-#include "sim/sync.hpp"
 
 namespace {
 
@@ -24,191 +26,120 @@ FigureCollector collector(
 
 constexpr int kOpsPerThread = 400;
 
-// --- spinlocks -------------------------------------------------------------
-
-double local_lock_mops(std::uint32_t threads) {
-  wl::Rig rig;
-  auto& m = rig.cluster.machine(0);
-  remem::LocalSpinlock lock(rig.eng, m, 1);
-  std::uint64_t acq = 0;
-  sim::Time end = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    auto worker = [](wl::Rig& r, remem::LocalSpinlock& l, std::uint32_t tid,
-                     std::uint64_t& a, sim::Time& e) -> sim::Task {
-      const hw::SocketId sock = tid % 2;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        co_await l.lock(sock);
-        ++a;
-        co_await l.unlock(sock);
-      }
-      e = std::max(e, r.eng.now());
-    };
-    rig.eng.spawn(worker(rig, lock, t, acq, end));
-  }
-  rig.eng.run();
-  bench::absorb(rig.cluster);
-  return static_cast<double>(acq) / sim::to_us(end);
+// One thread's closed loop: kOpsPerThread ops, then its end time.
+template <typename Op>
+sim::Task thread_loop(wl::Rig& rig, Op op, sim::Time& end) {
+  for (int i = 0; i < kOpsPerThread; ++i) co_await op();
+  end = std::max(end, rig.eng.now());
 }
 
-double remote_lock_mops(std::uint32_t threads, bool backoff) {
+// One point on a fresh rig: primitive P is built, then each thread t in
+// turn gets its op from P::client(rig, t) (one lock-unlock pair or one
+// ticket) and is spawned. Returns ops per simulated microsecond.
+template <typename P, typename... Args>
+double ops_per_us(std::uint32_t threads, Args... args) {
   wl::Rig rig;
-  verbs::Buffer lockmem(4096);
-  auto* mr = rig.ctx[0]->register_buffer(lockmem, 1);
-  std::vector<std::unique_ptr<remem::RemoteLockClient>> locks;
-  std::uint64_t acq = 0;
+  P primitive(rig, threads, args...);
   sim::Time end = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    auto* qp = rig.connect(1 + t % 7, 0).local;
-    locks.push_back(std::make_unique<remem::RemoteLockClient>(
-        *qp, backoff ? remem::BackoffPolicy::exponential()
-                     : remem::BackoffPolicy::none()));
-    auto worker = [](wl::Rig& r, remem::RemoteLockClient& l,
-                     const verbs::MemoryRegion& m, std::uint64_t& a,
-                     sim::Time& e) -> sim::Task {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        co_await l.lock(m.addr, m.key);
-        ++a;
-        co_await l.unlock(m.addr, m.key);
-      }
-      e = std::max(e, r.eng.now());
-    };
-    rig.eng.spawn(worker(rig, *locks.back(), *mr, acq, end));
-  }
+  for (std::uint32_t t = 0; t < threads; ++t)
+    rig.eng.spawn(thread_loop(rig, primitive.client(rig, t), end));
   rig.eng.run();
   bench::absorb(rig.cluster);
-  return static_cast<double>(acq) / sim::to_us(end);
+  return static_cast<double>(threads) * kOpsPerThread / sim::to_us(end);
 }
 
-double rpc_lock_mops(std::uint32_t threads) {
-  wl::Rig rig;
+// Local primitives: one cache line on machine 0 (every thread counts as a
+// contender on the sequencer's); thread t runs on socket t % 2.
+template <bool kLock>
+struct Local {
+  std::conditional_t<kLock, remem::LocalSpinlock, remem::LocalSequencer> word;
+  Local(wl::Rig& rig, std::uint32_t threads)
+      : word(rig.eng, rig.cluster.machine(0), kLock ? 1 : 2) {
+    if constexpr (!kLock)
+      for (std::uint32_t t = 0; t < threads; ++t) word.add_contender();
+  }
+  auto client(wl::Rig&, std::uint32_t t) {
+    return [this, sock = static_cast<hw::SocketId>(t % 2)]() -> sim::Task {
+      if constexpr (kLock) {
+        co_await word.lock(sock);
+        co_await word.unlock(sock);
+      } else {
+        (void)co_await word.next(sock);
+      }
+    };
+  }
+};
+
+// Remote primitives: the word lives in a 4 KiB buffer on machine 0
+// (socket 1); thread t reaches it over its own QP from machine 1 + t % 7.
+template <bool kLock>
+struct Remote {
+  verbs::Buffer mem{4096};
+  verbs::MemoryRegion* mr;
+  remem::BackoffPolicy backoff;
+  std::deque<std::conditional_t<kLock, remem::RemoteLockClient,
+                                remem::RemoteSequencer>>
+      clients;
+  Remote(wl::Rig& rig, std::uint32_t, bool exponential_backoff = false)
+      : mr(rig.ctx[0]->register_buffer(mem, 1)),
+        backoff(exponential_backoff ? remem::BackoffPolicy::exponential()
+                                    : remem::BackoffPolicy::none()) {}
+  auto client(wl::Rig& rig, std::uint32_t t) {
+    auto& qp = *rig.connect(1 + t % 7, 0).local;
+    if constexpr (kLock) {
+      return [&l = clients.emplace_back(qp, backoff), m = mr]() -> sim::Task {
+        co_await l.lock(m->addr, m->key);
+        co_await l.unlock(m->addr, m->key);
+      };
+    } else {
+      return [&s = clients.emplace_back(qp, mr->addr, mr->key)]()
+                 -> sim::Task { (void)co_await s.next(); };
+    }
+  }
+};
+
+// RPC primitives: one lock/sequencer service on machine 0; thread t calls
+// it from machine 1 + t % 7 over its own endpoint.
+template <bool kLock>
+struct Rpc {
   remem::RpcLockServiceState st;
-  remem::RpcServer server(*rig.ctx[0], [&st](std::uint64_t op,
-                                             std::uint64_t arg) {
-    return st.handle(op, arg);
-  });
-  std::vector<std::unique_ptr<remem::RpcClient>> clients;
-  std::uint64_t acq = 0;
-  sim::Time end = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    clients.push_back(std::make_unique<remem::RpcClient>(
-        *rig.ctx[1 + t % 7], rig.paper_qp()));
-    verbs::Context::connect(*server.add_endpoint(), *clients.back()->qp());
-    auto worker = [](wl::Rig& r, remem::RpcClient& c, std::uint64_t& a,
-                     sim::Time& e) -> sim::Task {
-      for (int i = 0; i < kOpsPerThread; ++i) {
+  remem::RpcServer server;
+  std::deque<remem::RpcClient> clients;
+  Rpc(wl::Rig& rig, std::uint32_t)
+      : server(*rig.ctx[0], [this](std::uint64_t op, std::uint64_t arg) {
+          return st.handle(op, arg);
+        }) {}
+  auto client(wl::Rig& rig, std::uint32_t t) {
+    auto& c = clients.emplace_back(*rig.ctx[1 + t % 7], rig.paper_qp());
+    verbs::Context::connect(*server.add_endpoint(), *c.qp());
+    return [&c]() -> sim::Task {
+      if constexpr (kLock) {
         while (co_await c.call(remem::kRpcTryLock, 0) == 0) {
         }
-        ++a;
         (void)co_await c.call(remem::kRpcUnlock, 0);
-      }
-      e = std::max(e, r.eng.now());
-    };
-    rig.eng.spawn(worker(rig, *clients.back(), acq, end));
-  }
-  rig.eng.run();
-  bench::absorb(rig.cluster);
-  return static_cast<double>(acq) / sim::to_us(end);
-}
-
-// --- sequencers ------------------------------------------------------------
-
-double local_seq_mops(std::uint32_t threads) {
-  wl::Rig rig;
-  remem::LocalSequencer seq(rig.eng, rig.cluster.machine(0), 2);
-  for (std::uint32_t t = 0; t < threads; ++t) seq.add_contender();
-  std::uint64_t n = 0;
-  sim::Time end = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    auto worker = [](wl::Rig& r, remem::LocalSequencer& s, std::uint32_t tid,
-                     std::uint64_t& a, sim::Time& e) -> sim::Task {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        (void)co_await s.next(tid % 2);
-        ++a;
-      }
-      e = std::max(e, r.eng.now());
-    };
-    rig.eng.spawn(worker(rig, seq, t, n, end));
-  }
-  rig.eng.run();
-  bench::absorb(rig.cluster);
-  return static_cast<double>(n) / sim::to_us(end);
-}
-
-double remote_seq_mops(std::uint32_t threads) {
-  wl::Rig rig;
-  verbs::Buffer mem(4096);
-  auto* mr = rig.ctx[0]->register_buffer(mem, 1);
-  std::vector<std::unique_ptr<remem::RemoteSequencer>> seqs;
-  std::uint64_t n = 0;
-  sim::Time end = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    auto* qp = rig.connect(1 + t % 7, 0).local;
-    seqs.push_back(
-        std::make_unique<remem::RemoteSequencer>(*qp, mr->addr, mr->key));
-    auto worker = [](wl::Rig& r, remem::RemoteSequencer& s, std::uint64_t& a,
-                     sim::Time& e) -> sim::Task {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        (void)co_await s.next();
-        ++a;
-      }
-      e = std::max(e, r.eng.now());
-    };
-    rig.eng.spawn(worker(rig, *seqs.back(), n, end));
-  }
-  rig.eng.run();
-  bench::absorb(rig.cluster);
-  return static_cast<double>(n) / sim::to_us(end);
-}
-
-double rpc_seq_mops(std::uint32_t threads) {
-  wl::Rig rig;
-  remem::RpcLockServiceState st;
-  remem::RpcServer server(*rig.ctx[0], [&st](std::uint64_t op,
-                                             std::uint64_t arg) {
-    return st.handle(op, arg);
-  });
-  std::vector<std::unique_ptr<remem::RpcClient>> clients;
-  std::uint64_t n = 0;
-  sim::Time end = 0;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    clients.push_back(std::make_unique<remem::RpcClient>(
-        *rig.ctx[1 + t % 7], rig.paper_qp()));
-    verbs::Context::connect(*server.add_endpoint(), *clients.back()->qp());
-    auto worker = [](wl::Rig& r, remem::RpcClient& c, std::uint64_t& a,
-                     sim::Time& e) -> sim::Task {
-      for (int i = 0; i < kOpsPerThread; ++i) {
+      } else {
         (void)co_await c.call(remem::kRpcSeqNext, 0);
-        ++a;
       }
-      e = std::max(e, r.eng.now());
     };
-    rig.eng.spawn(worker(rig, *clients.back(), n, end));
   }
-  rig.eng.run();
-  bench::absorb(rig.cluster);
-  return static_cast<double>(n) / sim::to_us(end);
-}
+};
 
+// The runs go in column order; their points follow, named by the header.
 void sweep() {
   for (const std::uint32_t threads : {1, 2, 4, 6, 8, 10, 12, 14}) {
-    const double ll = local_lock_mops(threads);
-    const double rl = remote_lock_mops(threads, false);
-    const double rlb = remote_lock_mops(threads, true);
-    const double pl = rpc_lock_mops(threads);
-    const double ls = local_seq_mops(threads);
-    const double rs = remote_seq_mops(threads);
-    const double ps = rpc_seq_mops(threads);
-    const std::string x = std::to_string(threads);
-    bench::point_mops("lock:local", x, ll);
-    bench::point_mops("lock:remote", x, rl);
-    bench::point_mops("lock:remote+bo", x, rlb);
-    bench::point_mops("lock:rpc", x, pl);
-    bench::point_mops("seq:local", x, ls);
-    bench::point_mops("seq:remote", x, rs);
-    bench::point_mops("seq:rpc", x, ps);
-    collector.add({x, util::fmt(ll), util::fmt(rl), util::fmt(rlb),
-                   util::fmt(pl), util::fmt(ls), util::fmt(rs),
-                   util::fmt(ps)});
+    const double mops[] = {ops_per_us<Local<true>>(threads),
+                           ops_per_us<Remote<true>>(threads, false),
+                           ops_per_us<Remote<true>>(threads, true),
+                           ops_per_us<Rpc<true>>(threads),
+                           ops_per_us<Local<false>>(threads),
+                           ops_per_us<Remote<false>>(threads),
+                           ops_per_us<Rpc<false>>(threads)};
+    std::vector<std::string> row{std::to_string(threads)};
+    for (std::size_t i = 0; i < std::size(mops); ++i) {
+      bench::point_mops(collector.header()[1 + i], row[0], mops[i]);
+      row.push_back(util::fmt(mops[i]));
+    }
+    collector.add(std::move(row));
   }
 }
 

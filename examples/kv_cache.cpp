@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "apps/hashtable/hashtable.hpp"
-#include "sim/sync.hpp"
 #include "wl/rig.hpp"
 #include "wl/zipf.hpp"
 
@@ -31,7 +30,6 @@ double run_workload(bool numa, bool consolidate) {
   const std::uint32_t front_ends = 6, pipeline = 4;
   const std::uint64_t ops = 800;
   std::vector<std::unique_ptr<ht::FrontEnd>> fes;
-  sim::CountdownLatch done(rig.eng, front_ends * pipeline);
   sim::Time end = 0;
   std::vector<std::byte> value(cfg.value_size);
 
@@ -40,16 +38,13 @@ double run_workload(bool numa, bool consolidate) {
     for (std::uint32_t w = 0; w < pipeline; ++w) {
       auto loop = [](wl::Rig& r, ht::FrontEnd& f, const ht::Config& c,
                      std::uint32_t id, std::uint64_t n,
-                     std::vector<std::byte>& v, sim::CountdownLatch& d,
-                     sim::Time& e) -> sim::Task {
+                     std::vector<std::byte>& v, sim::Time& e) -> sim::Task {
         wl::ZipfGenerator zipf(c.num_keys, 0.99, id + 1);
         for (std::uint64_t k = 0; k < n; ++k) co_await f.put(zipf.next(), v);
         e = std::max(e, r.eng.now());
-        d.count_down();
-        if (d.remaining() == 0) co_await f.drain();
       };
-      rig.eng.spawn(loop(rig, *fes.back(), cfg, i * pipeline + w, ops,
-                         value, done, end));
+      rig.eng.spawn(
+          loop(rig, *fes.back(), cfg, i * pipeline + w, ops, value, end));
     }
   }
   rig.eng.run();

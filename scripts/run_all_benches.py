@@ -25,6 +25,11 @@ accumulates a perf history across PRs instead of overwriting it. Point
 --trajectory-file elsewhere or at "" to disable. The accumulated history
 is mirrored into BENCH_ALL.json under "trajectory_history".
 
+Benches are submitted longest first, by each bench's wall seconds in the
+history's last row, so the longest bench (the battery's critical path)
+starts at once instead of behind the short ones. Without a last row, or
+for a bench it has no time for, the order is alphabetical.
+
 Each row also records three design-quality numbers read from the source
 tree: src_lines (lines of src/**/*.cpp and *.hpp), bench_lines (lines of
 bench/*.cpp and *.hpp) and env_knobs (distinct RDMASEM_* names passed to
@@ -149,6 +154,29 @@ def discover(bench_dir, with_selfbench):
     return names
 
 
+def load_history(path):
+    """Rows of the trajectory file at `path` ([] when unset or missing;
+    a corrupt file is reported and ignored)."""
+    if not path:
+        return []
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [json.loads(line) for line in f if line.strip()]
+    except OSError:
+        return []  # first run: no history yet
+    except ValueError as e:
+        print(f"run_all_benches: {path}: corrupt history ignored: {e}",
+              file=sys.stderr)
+        return []
+
+
+def longest_first(names, history):
+    """`names` ordered by wall seconds in the last history row, longest
+    first; alphabetical among benches the row has no time for."""
+    host = history[-1].get("host", {}) if history else {}
+    return sorted(names, key=lambda n: (-host.get(n, {}).get("wall_s", 0), n))
+
+
 def run_one(bench_dir, out_dir, name, timeout):
     """-> (name, report_path | None, error | None, host)
 
@@ -220,6 +248,10 @@ def main():
         print(f"run_all_benches: no bench binaries in {bench_dir} "
               "(build them first)", file=sys.stderr)
         return 2
+    tpath = (os.path.abspath(args.trajectory_file)
+             if args.trajectory_file else "")
+    history = load_history(tpath)
+    names = longest_first(names, history)
 
     cores = effective_cores(args.jobs)
     print(f"run_all_benches: spin probe: {cores} effective core(s) "
@@ -274,18 +306,7 @@ def main():
         **design_quality(),
     }
 
-    history = []
-    if args.trajectory_file:
-        tpath = os.path.abspath(args.trajectory_file)
-        try:
-            with open(tpath, encoding="utf-8") as f:
-                history = [json.loads(line) for line in f if line.strip()]
-        except OSError:
-            pass  # first run: no history yet
-        except ValueError as e:
-            print(f"run_all_benches: {tpath}: corrupt history ignored: {e}",
-                  file=sys.stderr)
-            history = []
+    if tpath:
         history.append(trajectory)
         with open(tpath, "a", encoding="utf-8") as f:
             json.dump(trajectory, f, separators=(",", ":"), sort_keys=True)

@@ -104,22 +104,4 @@ std::string MetricsRegistry::json() const {
   return out;
 }
 
-std::string MetricsRegistry::csv() const {
-  std::string out = "time_us";
-  for (const auto& [name, c] : counters_) out += "," + name;
-  for (const auto& [name, fn] : gauges_) out += "," + name;
-  out += "\n";
-  const std::size_t cols = counters_.size() + gauges_.size();
-  for (const auto& row : series_) {
-    out += us_from_ps(row.at);
-    for (std::size_t v = 0; v < cols; ++v) {
-      out += ',';
-      out += v < row.values.size() ? json_num(row.values[v])
-                                   : std::string("0");
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace rdmasem::obs

@@ -37,9 +37,9 @@ class Counter {
 //   * histograms: Log2Histogram distributions (per-WR latency).
 //
 // `sample(now)` appends one row of every counter and gauge to an
-// in-memory time series keyed by the virtual clock; `json()` / `csv()`
-// export current values plus the series deterministically (registration
-// order, fixed-precision numbers).
+// in-memory time series keyed by the virtual clock; `json()` exports
+// current values plus the series deterministically (registration order,
+// fixed-precision numbers).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -65,8 +65,6 @@ class MetricsRegistry {
 
   // {"counters":{...},"gauges":{...},"histograms":{...},"series":{...}}
   std::string json() const;
-  // time_us,<metric>,<metric>,... one row per sample.
-  std::string csv() const;
 
  private:
   // Insertion-ordered storage keeps exports deterministic; the maps are
