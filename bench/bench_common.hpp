@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -182,9 +183,11 @@ inline void point_mops(const std::string& series, const std::string& x,
 // Called by run_main after the paper table prints: names the
 // report after the binary, mirrors the table, writes the merged Chrome
 // trace (when tracing ran) and BENCH_<name>.json into RDMASEM_BENCH_OUT
-// (default "."; set to the empty string to disable file output).
+// (default "." when unset; set to the empty string to disable file output).
 inline void finish(const char* argv0, const FigureCollector& collector) {
-  const std::string dir = util::env_str("RDMASEM_BENCH_OUT", ".");
+  // Read directly: util::env_str treats an empty value as unset.
+  const char* out_env = std::getenv("RDMASEM_BENCH_OUT");
+  const std::string dir = out_env != nullptr ? out_env : ".";
   if (dir.empty()) return;
   std::string name = argv0 != nullptr ? argv0 : "bench";
   const auto slash = name.find_last_of('/');

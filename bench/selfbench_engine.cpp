@@ -35,17 +35,18 @@
 //               a steady RC WRITE/READ/FETCH_ADD loop: post_send must cost
 //               exactly 1 frame and execute exactly 2. Skipped under ASan,
 //               where FramePool hands frames to the allocator uncounted.
-//   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end.
+//   e2e_shuffle — fig15-style small all-to-all shuffle timed end to end,
+//               in millions of shuffled entries (not events) per second.
 //
 // One more row describes the host rather than the engine: parallel_cpus
 // is the number of cores a calibrated spin probe saw run at once.
 // perf_gate.py --update-baseline refuses to record a baseline below 4.
 //
-// Rows land in BENCH_selfbench_engine.json (rdmasem-bench-v1 schema; the
-// `mops` field carries millions of events per second, or the raw ratio for
-// the speedup row). Wall-clock numbers are machine-dependent: the checked
-// in bench/selfbench_baseline.json is compared with a tolerance, and the
-// speedup row is the portable criterion. See docs/PERF.md.
+// Rows land in BENCH_selfbench_engine.json (rdmasem-bench-v1 schema; `mops`
+// is millions of events per second, of entries for e2e_shuffle, or the
+// speedup row's raw ratio). Wall-clock numbers are machine-dependent: the
+// checked-in bench/selfbench_baseline.json is compared with a tolerance,
+// and the speedup row is the portable criterion. See docs/PERF.md.
 
 #include <algorithm>
 #include <atomic>
@@ -563,10 +564,9 @@ void sweep() {
     cfg.entries_per_executor = util::env_u64("RDMASEM_SHUFFLE_ENTRIES", 6000);
     cfg.batch = apps::shuffle::BatchMode::kSgl;
     apps::shuffle::Shuffle shuffle(rig.contexts(), cfg);
-    shuffle.run();
+    const auto r = shuffle.run();
     bench::absorb(rig.cluster);
-    return static_cast<double>(rig.eng.events_processed()) /
-           secs_since(w0) / 1e6;
+    return static_cast<double>(r.entries) / secs_since(w0) / 1e6;
   }));
 }
 

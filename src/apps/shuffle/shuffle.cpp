@@ -1,6 +1,7 @@
 #include "apps/shuffle/shuffle.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "sim/sync.hpp"
 #include "util/assert.hpp"
@@ -157,9 +158,13 @@ sim::Task Shuffle::run_executor(Executor* ex, sim::CountdownLatch& done) {
   const std::uint32_t n = cfg_.executors;
   sim::Rng rng(cfg_.seed * 1000003 + ex->id);
 
-  auto flush = [this, ex](std::uint32_t dst) -> sim::TaskT<void> {
+  // Entry CPU time is paid at the next flush, the first step others see. A
+  // zero delay would still yield, so nothing owed pays nothing.
+  sim::Duration owed = 0;
+  auto flush = [this, ex, &eng, &owed](std::uint32_t dst) -> sim::TaskT<void> {
     auto& items = ex->pending[dst];
     if (items.empty()) co_return;
+    if (owed > 0) co_await sim::delay(eng, std::exchange(owed, 0));
     Executor* d = executors_[dst].get();
     const std::uint64_t remote_base =
         d->recv_mr->addr + d->pair_off(ex->id, cfg_.entry_size) +
@@ -181,7 +186,7 @@ sim::Task Shuffle::run_executor(Executor* ex, sim::CountdownLatch& done) {
     std::byte* rec = ex->send_buf.data() + ex->gen_off;
     fill_entry(rec, key, cfg_.entry_size);
     sent_checksum_ += entry_checksum(rec, cfg_.entry_size);
-    co_await sim::delay(eng, p.cpu_tuple_work + p.cpu_hash);
+    owed += p.cpu_tuple_work + p.cpu_hash;
 
     Executor* d = executors_[dst].get();
     const std::uint64_t slot = ex->cursor[dst] + ex->pending[dst].size();
@@ -216,6 +221,7 @@ sim::Task Shuffle::run_producer(Executor* ex) {
   const std::uint32_t n = cfg_.executors;
   sim::Rng rng(cfg_.seed * 1000003 + ex->id);
 
+  sim::Duration owed = 0;
   for (std::uint64_t i = 0; i < cfg_.entries_per_executor; ++i) {
     const std::uint64_t key = cfg_.keygen ? cfg_.keygen(ex->id, i)
                                           : rng.next();
@@ -228,9 +234,10 @@ sim::Task Shuffle::run_producer(Executor* ex) {
     fill_entry(rec, key, cfg_.entry_size);
     sent_checksum_ += entry_checksum(rec, cfg_.entry_size);
     ++ex->sent_count[dst];
-    co_await sim::delay(eng, p.cpu_tuple_work + p.cpu_hash +
-                                 p.memcpy_time(cfg_.entry_size));
+    owed += p.cpu_tuple_work + p.cpu_hash + p.memcpy_time(cfg_.entry_size);
   }
+  // The staging runs stay private until the counts go out: pay once.
+  if (owed > 0) co_await sim::delay(eng, owed);
   // Publish counts (count+1 so "0 entries" is distinguishable from
   // "not yet published").
   for (std::uint32_t dst = 0; dst < n; ++dst) {

@@ -28,7 +28,11 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta, std::uint64_t seed)
     : n_(n), theta_(theta), rng_(seed) {
   RDMASEM_CHECK_MSG(n > 0, "zipf over empty domain");
   RDMASEM_CHECK_MSG(theta > 0 && theta < 1, "theta must be in (0,1)");
-  zetan_ = zeta(n, theta);
+  // A sweep point's workers share (n, theta): keep the last sum, per thread
+  // so that parallel sweeps share no state.
+  thread_local struct { std::uint64_t n = 0; double theta = 0, sum = 0; } last;
+  if (last.n != n || last.theta != theta) last = {n, theta, zeta(n, theta)};
+  zetan_ = last.sum;
   const double zeta2 = zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /

@@ -455,7 +455,7 @@ void expect_golden(const Golden& g, std::uint64_t digest, sim::Time now,
 
 void expect_shuffle_push_golden() {
   expect_golden(shuffle_golden(sh::Direction::kPush), 0xac084487e1e786e9ULL,
-                192515176, 16990);
+                192515176, 13384);
 }
 
 }  // namespace
@@ -477,12 +477,12 @@ TEST(Determinism, GoldenShufflePushAfterUnrelatedState) {
 
 TEST(Determinism, GoldenShufflePull) {
   expect_golden(shuffle_golden(sh::Direction::kPull), 0x8f53dce3076a44c5ULL,
-                221788517, 14616);
+                221788517, 10528);
 }
 
 TEST(Determinism, GoldenJoin) {
   expect_golden(join_golden(), 0x4270f6e843052158ULL,
-                407477631, 34053);
+                407477631, 26717);
 }
 
 TEST(Determinism, GoldenDlog) {
@@ -508,5 +508,5 @@ TEST(Determinism, GoldenChaosFaults) {
 
 TEST(Determinism, GoldenLeafTopology) {
   expect_golden(leaf_golden(), 0x6c40484fd379ff4cULL,
-                132828642, 9209);
+                132828642, 7398);
 }
